@@ -4,78 +4,49 @@ Exact-arithmetic computation of Burnside rings A(C_h), their ghost
 embedding, the Tambara structure maps (restriction, transfer, norm),
 the prime ideals indexed by a subgroup and a prime-or-zero, and the full
 prime spectrum with its containment lattice; everything is validated
-against a brute-force G-set oracle.
+against a brute-force G-set oracle.  The package root exports what the
+demos and the README use; everything else lives in its submodule.
 """
 
 from .burnside import (
     BurnsideElement,
     GhostVector,
     NotInGhostImage,
-    element_from_json,
-    element_to_json,
     from_t,
     ghost,
-    ghost_from_json,
-    ghost_to_json,
     unghost,
 )
 from .gsets import (
-    BudgetExceeded,
-    ConcreteGSet,
-    NegativeCoefficient,
     decompose,
-    fixed_points,
-    induce,
     map_set,
-    product,
     realize,
 )
 from .ideals import (
     IdealSpec,
-    LevelLattice,
-    QReport,
-    QWitness,
-    box_elements,
-    decompose_by_c,
     kernel_lattice,
-    lattice_member,
     level_generators,
     member,
     primality_probe,
     psi,
     q_check,
     ring_ideal_lattice,
-    tambara_generator_check,
 )
 from .lattice import (
     CyclicGroupCtx,
-    check_prime_or_zero,
     divisors,
-    is_prime,
-    max_chain_length,
-    moebius,
-    mu,
-    o_p,
     omega,
     s_partition,
 )
 from .maps import (
-    conjugate,
-    ghost_res,
-    ghost_tr,
     norm,
     norm_ghost,
     restrict,
     transfer,
 )
 from .spectrum import (
-    DressPoint,
-    DressSpectrum,
-    SpectrumPoset,
     contains,
     contains_semantic,
     default_primes,
-    dress_contains,
     dress_spectrum,
     enumerate_spectrum,
     export_dot,
@@ -89,61 +60,31 @@ __all__ = [
     "BurnsideElement",
     "GhostVector",
     "NotInGhostImage",
-    "element_from_json",
-    "element_to_json",
     "from_t",
     "ghost",
-    "ghost_from_json",
-    "ghost_to_json",
     "unghost",
-    "BudgetExceeded",
-    "ConcreteGSet",
-    "NegativeCoefficient",
     "decompose",
-    "fixed_points",
-    "induce",
     "map_set",
-    "product",
     "realize",
     "IdealSpec",
-    "LevelLattice",
-    "QReport",
-    "QWitness",
-    "box_elements",
-    "decompose_by_c",
     "kernel_lattice",
-    "lattice_member",
     "level_generators",
     "member",
     "primality_probe",
     "psi",
     "q_check",
     "ring_ideal_lattice",
-    "tambara_generator_check",
     "CyclicGroupCtx",
-    "check_prime_or_zero",
     "divisors",
-    "is_prime",
-    "max_chain_length",
-    "moebius",
-    "mu",
-    "o_p",
     "omega",
     "s_partition",
-    "conjugate",
-    "ghost_res",
-    "ghost_tr",
     "norm",
     "norm_ghost",
     "restrict",
     "transfer",
-    "DressPoint",
-    "DressSpectrum",
-    "SpectrumPoset",
     "contains",
     "contains_semantic",
     "default_primes",
-    "dress_contains",
     "dress_spectrum",
     "enumerate_spectrum",
     "export_dot",

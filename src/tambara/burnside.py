@@ -172,13 +172,6 @@ class GhostVector:
         self.level = level
         self.values = {i: int(values[i]) for i in divs}
 
-    def pointwise_add(self, other: "GhostVector") -> "GhostVector":
-        if self.level != other.level:
-            raise ValueError("level mismatch")
-        return GhostVector(
-            self.level, {i: v + other.values[i] for i, v in self.values.items()}
-        )
-
     def pointwise_mul(self, other: "GhostVector") -> "GhostVector":
         if self.level != other.level:
             raise ValueError("level mismatch")
@@ -250,11 +243,21 @@ def element_to_json(x: BurnsideElement) -> dict:
     }
 
 
-def element_from_json(obj: dict) -> BurnsideElement:
+def _json_ints(obj, key: str, what: str) -> tuple[int, dict[int, int]]:
+    """Level and ``obj[key]`` of a JSON object whose values are all JSON ints."""
     if not isinstance(obj, dict) or "level" not in obj:
-        raise ValueError("element JSON must be an object with 'level' and 'coeffs'")
-    coeffs = {int(k): int(m) for k, m in obj.get("coeffs", {}).items()}
-    return BurnsideElement(int(obj["level"]), coeffs)
+        raise ValueError(f"{what} JSON must be an object with 'level' and '{key}'")
+    entries = obj.get(key, {})
+    if not isinstance(entries, dict):
+        raise ValueError(f"{what} JSON '{key}' must be an object")
+    for value in (obj["level"], *entries.values()):
+        if type(value) is not int:
+            raise ValueError(f"{what} JSON values must be integers, got {value!r}")
+    return obj["level"], {int(k): v for k, v in entries.items()}
+
+
+def element_from_json(obj: dict) -> BurnsideElement:
+    return BurnsideElement(*_json_ints(obj, "coeffs", "element"))
 
 
 def ghost_to_json(v: GhostVector) -> dict:
@@ -263,7 +266,4 @@ def ghost_to_json(v: GhostVector) -> dict:
 
 
 def ghost_from_json(obj: dict) -> GhostVector:
-    if not isinstance(obj, dict) or "level" not in obj:
-        raise ValueError("ghost JSON must be an object with 'level' and 'marks'")
-    marks = {int(i): int(val) for i, val in obj.get("marks", {}).items()}
-    return GhostVector(int(obj["level"]), marks)
+    return GhostVector(*_json_ints(obj, "marks", "ghost"))

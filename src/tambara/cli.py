@@ -81,8 +81,11 @@ def parse_spec(text: str, n: int) -> IdealSpec:
     return IdealSpec(n, int(fields["c"]), int(fields["p"]))
 
 
-def parse_primes(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _primes(args) -> list[int]:
+    """The comma-separated --primes option, or the default prime set for -n."""
+    if not args.primes:
+        return default_primes(args.n)
+    return [int(tok) for tok in args.primes.split(",") if tok.strip() != ""]
 
 
 def _progress(args, message: str) -> None:
@@ -90,22 +93,24 @@ def _progress(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _print_table(title: str, poset) -> None:
+    """Header line with point count and Krull dimension, then one line per point."""
+    print(
+        f"{title} over primes {list(poset.primes)}: {len(poset.points)} points, "
+        f"Krull dimension {krull_dimension(poset)}"
+    )
+    for pt, merged in zip(poset.points, poset.merged):
+        print(f"  {pt.label}  class={list(merged)}")
+
+
 def cmd_spectrum(args) -> int:
-    ctx = CyclicGroupCtx(args.n)
-    primes = parse_primes(args.primes) if args.primes else default_primes(args.n)
-    poset = enumerate_spectrum(ctx, primes)
+    poset = enumerate_spectrum(CyclicGroupCtx(args.n), _primes(args))
     if args.format == "dot":
         sys.stdout.write(export_dot(poset))
     elif args.format == "json":
         sys.stdout.write(export_json(poset))
     else:
-        print(
-            f"Spec of the Burnside functor of C_{poset.n} over primes "
-            f"{list(poset.primes)}: {len(poset.points)} points, "
-            f"Krull dimension {krull_dimension(poset)}"
-        )
-        for i, spec in enumerate(poset.points):
-            print(f"  {spec.label}  class={list(poset.merged[i])}")
+        _print_table(f"Spec of the Burnside functor of C_{poset.n}", poset)
         print("Hasse edges (a -> b means a contained in b):")
         for i, j in sorted(hasse_edges(poset)):
             print(f"  {poset.points[i].label} -> {poset.points[j].label}")
@@ -164,9 +169,7 @@ def cmd_gens(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    primes = parse_primes(args.primes) if args.primes else default_primes(args.n)
-    ctx = CyclicGroupCtx(args.n)
-    poset = enumerate_spectrum(ctx, primes)
+    poset = enumerate_spectrum(CyclicGroupCtx(args.n), _primes(args))
     report = {
         "n": args.n,
         "primes": list(poset.primes),
@@ -238,28 +241,20 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_dress(args) -> int:
-    ctx = CyclicGroupCtx(args.n)
-    primes = parse_primes(args.primes) if args.primes else default_primes(args.n)
-    spectrum = dress_spectrum(ctx, primes)
+    poset = dress_spectrum(CyclicGroupCtx(args.n), _primes(args))
     if args.format == "json":
         doc = {
-            "n": spectrum.n,
-            "primes": list(spectrum.primes),
+            "n": poset.n,
+            "primes": list(poset.primes),
             "points": [
-                {"d": pt.d, "p": pt.p, "merged": list(spectrum.merged[i])}
-                for i, pt in enumerate(spectrum.points)
+                {"d": pt.d, "p": pt.p, "merged": list(merged)}
+                for pt, merged in zip(poset.points, poset.merged)
             ],
-            "krull_dimension": krull_dimension(spectrum),
+            "krull_dimension": krull_dimension(poset),
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(
-            f"Spec of the Burnside ring A(C_{spectrum.n}) over primes "
-            f"{list(spectrum.primes)}: {len(spectrum.points)} points, "
-            f"Krull dimension {krull_dimension(spectrum)}"
-        )
-        for i, pt in enumerate(spectrum.points):
-            print(f"  {pt.label}  class={list(spectrum.merged[i])}")
+        _print_table(f"Spec of the Burnside ring A(C_{poset.n})", poset)
     return 0
 
 

@@ -98,7 +98,8 @@ def decompose(s: ConcreteGSet) -> BurnsideElement:
     h = s.level
     coeffs: dict[int, int] = {}
     for length in _cycle_lengths(s.perm):
-        assert h % length == 0, "orbit sizes divide the group order"
+        if h % length:
+            raise AssertionError("orbit sizes divide the group order")
         k = h // length
         coeffs[k] = coeffs.get(k, 0) + 1
     return BurnsideElement(h, coeffs)

@@ -109,7 +109,8 @@ def level_generators(spec: IdealSpec, h: int) -> list[BurnsideElement]:
                 - (mj // k) * BurnsideElement.transitive(h, mj)
             )
     for g in gens:
-        assert member(spec, g), f"generator {g} is not a member of {spec.label}"
+        if not member(spec, g):
+            raise AssertionError(f"generator {g} is not a member of {spec.label}")
     return gens
 
 
@@ -117,20 +118,18 @@ def level_generators(spec: IdealSpec, h: int) -> list[BurnsideElement]:
 class LevelLattice:
     """A sub-Z-module of A(C_level) in the ascending transitive basis.
 
-    ``basis`` is a canonical HNF row matrix; ``modulus`` records whether
-    the lattice realizes a p-congruence kernel (p) or an exact kernel /
-    plain span (0).  Construction verifies closure under multiplication
-    by every basis orbit, i.e. that the row span really is a ring ideal.
+    ``basis`` is a canonical HNF row matrix.  Construction verifies
+    closure under multiplication by every basis orbit, i.e. that the row
+    span really is a ring ideal.
     """
 
     level: int
     basis: tuple[tuple[int, ...], ...]
-    modulus: int
 
     @classmethod
-    def from_rows(cls, level: int, rows, modulus: int = 0) -> "LevelLattice":
+    def from_rows(cls, level: int, rows) -> "LevelLattice":
         basis = tuple(tuple(r) for r in hnf([list(r) for r in rows]))
-        lat = cls(level, basis, modulus)
+        lat = cls(level, basis)
         lat._check_multiplicative_closure()
         return lat
 
@@ -147,6 +146,7 @@ class LevelLattice:
                     )
 
     def member(self, x: BurnsideElement) -> bool:
+        """Is x an integer combination of the lattice basis rows?"""
         if x.level != self.level:
             raise ValueError(f"level mismatch: {x.level} vs {self.level}")
         return in_row_span([list(r) for r in self.basis], to_vector(x))
@@ -176,7 +176,7 @@ def kernel_lattice(spec: IdealSpec, h: int) -> LevelLattice:
         for i in divisors(gcd(h, spec.c))
     ]
     rows = preimage_mod(conds, len(divs), spec.p)
-    return LevelLattice.from_rows(h, rows, spec.p)
+    return LevelLattice.from_rows(h, rows)
 
 
 def ring_ideal_lattice(h: int, gens) -> LevelLattice:
@@ -193,12 +193,7 @@ def ring_ideal_lattice(h: int, gens) -> LevelLattice:
             rows.append(to_vector(g * BurnsideElement.transitive(h, k)))
     if not rows:
         rows = [[0] * len(divisors(h))]
-    return LevelLattice.from_rows(h, rows, 0)
-
-
-def lattice_member(lat: LevelLattice, x: BurnsideElement) -> bool:
-    """Is x an integer combination of the lattice basis rows?"""
-    return lat.member(x)
+    return LevelLattice.from_rows(h, rows)
 
 
 # ---------------------------------------------------------------------------

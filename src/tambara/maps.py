@@ -1,6 +1,6 @@
-"""Tambara structure maps for cyclic groups: restriction, transfer, norm,
-and (trivial) conjugation, in both the transitive basis and ghost
-coordinates.
+"""Tambara structure maps for cyclic groups: restriction, transfer and
+norm, in both the transitive basis and ghost coordinates.  Conjugation
+is the identity, since the group is abelian, and has no function here.
 
 The norm is the hard map.  On the transitive basis it is computed by the
 inductive recursion
@@ -35,7 +35,8 @@ def restrict(x: BurnsideElement, j: int) -> BurnsideElement:
     for k, m in x.coeffs.items():
         g = gcd(k, j)
         orbits, rem = divmod((h // k) * g, j)
-        assert rem == 0, "orbit count must be integral"
+        if rem:
+            raise AssertionError("orbit count must be integral")
         acc[g] = acc.get(g, 0) + m * orbits
     return BurnsideElement(j, acc)
 
@@ -59,15 +60,13 @@ def norm(x: BurnsideElement, h: int) -> BurnsideElement:
         value -= sum(c[lam] for lam in hdivs if lam != kappa and lam % kappa == 0)
         c[kappa] = value
         q, r = divmod(value, h // kappa)
-        assert r == 0, f"norm recursion produced non-integral C({kappa})/{h // kappa}"
+        if r:
+            raise AssertionError(
+                f"norm recursion produced non-integral C({kappa})/{h // kappa}"
+            )
         if q:
             coeffs[kappa] = q
     return BurnsideElement(h, coeffs)
-
-
-def conjugate(x: BurnsideElement) -> BurnsideElement:
-    """Conjugation; the identity, since the group is abelian."""
-    return x
 
 
 def ghost_res(v: GhostVector, j: int) -> GhostVector:

@@ -6,14 +6,16 @@ is also decided semantically, by comparing the exact kernel lattices at
 every level, and the two routes are cross-validated in the test suite.
 Equal ideals are merged into canonical points (the p-free representative
 of each class) before the containment matrix is built, so the relation
-is a partial order.  Exports: Graphviz DOT of the Hasse diagram and a
-JSON round-trip encoding.
+is a partial order.  Dress's spectrum of the Burnside ring has the same
+points with a different containment and is built as the same poset type.
+Exports: Graphviz DOT of the Hasse diagram and a JSON round-trip encoding.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .ideals import IdealSpec, kernel_lattice
 from .lattice import (
@@ -80,43 +82,53 @@ def _canonical_classes(n: int, p: int) -> list[tuple[int, tuple[int, ...]]]:
 
 @dataclass(frozen=True)
 class SpectrumPoset:
-    """Canonical points of the spectrum with their containment matrix."""
+    """Canonical points of a spectrum with their containment matrix.
+
+    Shared by the Tambara spectrum (IdealSpec points) and Dress's
+    spectrum of A(C_n) (DressPoint points): both have the same points
+    and differ only in containment.
+    """
 
     n: int
     primes: tuple[int, ...]
-    points: tuple[IdealSpec, ...]
+    points: tuple[IdealSpec | DressPoint, ...]
     merged: tuple[tuple[int, ...], ...]
     relation: tuple[tuple[bool, ...], ...]
 
 
-def enumerate_spectrum(ctx: CyclicGroupCtx, primes) -> SpectrumPoset:
-    """All ideals (C_c, p) over the prime set, one point per equality class.
+def _build_poset(n: int, primes, point, contains_fn) -> SpectrumPoset:
+    """One point ``point(rep, p)`` per equality class over the prime set,
+    sorted by (rep, p), and the matrix of ``contains_fn`` over all pairs.
 
     For p = 0 or p not dividing n every divisor is its own class; for
     p | n classes are keyed by the p-free part, represented by the p-free
-    divisor itself.
+    divisor itself.  The relation is checked to be antisymmetric.
     """
     if not primes:
         raise ValueError("the prime set must be non-empty")
     ps = sorted({check_prime_or_zero(int(p)) for p in primes})
-    pts: list[tuple[IdealSpec, tuple[int, ...]]] = []
-    for p in ps:
-        for rep, merged in _canonical_classes(ctx.n, p):
-            pts.append((IdealSpec(ctx.n, rep, p), merged))
-    pts.sort(key=lambda t: (t[0].c, t[0].p))
-    points = tuple(s for s, _ in pts)
-    merged = tuple(m for _, m in pts)
-    relation = tuple(
-        tuple(contains(a, b) for b in points) for a in points
+    classes = sorted(
+        (rep, p, merged) for p in ps for rep, merged in _canonical_classes(n, p)
     )
-    for i in range(len(points)):
-        for j in range(len(points)):
-            if i != j and relation[i][j] and relation[j][i]:
+    points = tuple(point(rep, p) for rep, p, _ in classes)
+    relation = tuple(
+        tuple(contains_fn(a, b) for b in points) for a in points
+    )
+    for i, row in enumerate(relation):
+        column = (other[i] for other in relation[i + 1:])
+        for j, (a_in_b, b_in_a) in enumerate(zip(row[i + 1:], column), i + 1):
+            if a_in_b and b_in_a:
                 raise AssertionError(
                     f"distinct canonical points {points[i].label} and "
                     f"{points[j].label} contain each other"
                 )
-    return SpectrumPoset(ctx.n, tuple(ps), points, merged, relation)
+    merged = tuple(m for _, _, m in classes)
+    return SpectrumPoset(n, tuple(ps), points, merged, relation)
+
+
+def enumerate_spectrum(ctx: CyclicGroupCtx, primes) -> SpectrumPoset:
+    """All ideals (C_c, p) over the prime set, one point per equality class."""
+    return _build_poset(ctx.n, primes, partial(IdealSpec, ctx.n), contains)
 
 
 def krull_dimension(poset) -> int:
@@ -162,32 +174,10 @@ def dress_contains(a: DressPoint, b: DressPoint) -> bool:
     return a.p == b.p and o_p(a.d, a.p) == o_p(b.d, b.p)
 
 
-@dataclass(frozen=True)
-class DressSpectrum:
-    n: int
-    primes: tuple[int, ...]
-    points: tuple[DressPoint, ...]
-    merged: tuple[tuple[int, ...], ...]
-    relation: tuple[tuple[bool, ...], ...]
-
-
-def dress_spectrum(ctx: CyclicGroupCtx, primes) -> DressSpectrum:
+def dress_spectrum(ctx: CyclicGroupCtx, primes) -> SpectrumPoset:
     """Spec of the Burnside ring A(C_n) over the prime set, deduplicated
     by the same p-free classes as the Tambara spectrum."""
-    if not primes:
-        raise ValueError("the prime set must be non-empty")
-    ps = sorted({check_prime_or_zero(int(p)) for p in primes})
-    pts: list[tuple[DressPoint, tuple[int, ...]]] = []
-    for p in ps:
-        for rep, merged in _canonical_classes(ctx.n, p):
-            pts.append((DressPoint(rep, p), merged))
-    pts.sort(key=lambda t: (t[0].d, t[0].p))
-    points = tuple(s for s, _ in pts)
-    merged = tuple(m for _, m in pts)
-    relation = tuple(
-        tuple(dress_contains(a, b) for b in points) for a in points
-    )
-    return DressSpectrum(ctx.n, tuple(ps), points, merged, relation)
+    return _build_poset(ctx.n, primes, DressPoint, dress_contains)
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +206,13 @@ def _node_name(spec: IdealSpec) -> str:
     return f"pq_{spec.c}_{spec.p}"
 
 
-def _node_label(poset: SpectrumPoset, idx: int) -> str:
-    p = poset.points[idx].p
-    return " = ".join(f"p_{{C_{d},{p}}}" for d in poset.merged[idx])
-
-
 def export_dot(poset: SpectrumPoset) -> str:
     """Graphviz digraph of the Hasse diagram; an arrow a -> b means the
     ideal a is contained in the ideal b."""
     lines = ["digraph tambara_spectrum {", "  rankdir=BT;"]
-    for i, spec in enumerate(poset.points):
-        lines.append(f'  {_node_name(spec)} [label="{_node_label(poset, i)}"];')
+    for spec, merged in zip(poset.points, poset.merged):
+        label = " = ".join(f"p_{{C_{d},{spec.p}}}" for d in merged)
+        lines.append(f'  {_node_name(spec)} [label="{label}"];')
     for i, j in sorted(hasse_edges(poset)):
         lines.append(f"  {_node_name(poset.points[i])} -> {_node_name(poset.points[j])};")
     lines.append("}")
@@ -249,10 +235,12 @@ def export_json(poset: SpectrumPoset) -> str:
 
 
 def poset_from_json(text: str) -> SpectrumPoset:
-    """Rebuild a SpectrumPoset from its JSON export."""
+    """Rebuild a SpectrumPoset from its JSON export, recomputed from ``n``
+    and ``primes``; the listed points must be exactly the recomputed ones."""
     doc = json.loads(text)
     n = int(doc["n"])
-    points = tuple(IdealSpec(n, int(pt["c"]), int(pt["p"])) for pt in doc["points"])
-    merged = tuple(tuple(int(d) for d in pt["merged"]) for pt in doc["points"])
-    relation = tuple(tuple(contains(a, b) for b in points) for a in points)
-    return SpectrumPoset(n, tuple(int(p) for p in doc["primes"]), points, merged, relation)
+    poset = _build_poset(n, doc["primes"], partial(IdealSpec, n), contains)
+    listed = [(pt["c"], pt["p"], pt["merged"]) for pt in doc["points"]]
+    if listed != [(pt.c, pt.p, list(m)) for pt, m in zip(poset.points, poset.merged)]:
+        raise ValueError("JSON points differ from the spectrum of its n and primes")
+    return poset

@@ -180,7 +180,7 @@ def test_ghost_is_ring_homomorphism_fuzz():
         x = random_element(rng, h)
         y = random_element(rng, h)
         gx, gy = ghost(x), ghost(y)
-        assert ghost(x + y) == gx.pointwise_add(gy)
+        assert ghost(x + y).values == {i: v + gy.values[i] for i, v in gx.values.items()}
         assert ghost(x * y) == gx.pointwise_mul(gy)
         assert unghost(ghost(x)) == x
 

@@ -40,6 +40,20 @@ def test_spectrum_matches_golden_file(capsys):
     assert out == (GOLDEN / "spectrum_n12.dot").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["spectrum", "-n", "12", "--format", "table"], "spectrum_n12_table.txt"),
+        (["dress", "-n", "12", "--format", "table"], "dress_n12_table.txt"),
+        (["dress", "-n", "12", "--format", "json"], "dress_n12.json"),
+    ],
+)
+def test_output_matches_golden_file(capsys, argv, golden):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_spectrum_byte_identical_across_runs(capsys):
     combos = [
         ("12", "0,2,3,5"),
@@ -152,6 +166,24 @@ def test_dress_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["points"]) == 17 and doc["krull_dimension"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "-n", "12", "--spec", "c=2,p=2",
+         "--element", '{"level":12,"coeffs":{"12":2.9}}'],
+        ["unghost", "--vector", '{"level":2,"marks":{"1":1.5,"2":1}}'],
+        ["ghost", "--element", '{"level":12,"coeffs":{"12":"3"}}'],
+        ["ghost", "--element", '{"level":12,"coeffs":{"12":true}}'],
+        ["ghost", "--element", '{"level":12.0,"coeffs":{"12":1}}'],
+        ["ghost", "--element", '{"level":12,"coeffs":[1]}'],
+    ],
+)
+def test_malformed_json_input_exit_1(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_usage_errors_exit_2(capsys):

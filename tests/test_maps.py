@@ -6,7 +6,6 @@ from tambara.burnside import BurnsideElement, GhostVector, ghost, unghost
 from tambara.gsets import ConcreteGSet, decompose, realize
 from tambara.lattice import divisors
 from tambara.maps import (
-    conjugate,
     ghost_res,
     ghost_tr,
     norm,
@@ -147,11 +146,6 @@ def test_norm_ghost_examples():
     assert norm_ghost(ones, 12) == GhostVector(12, {i: 1 for i in divisors(12)})
     zero = GhostVector(1, {1: 0})
     assert norm_ghost(zero, 3) == GhostVector(3, {1: 0, 3: 0})
-
-
-def test_conjugate_is_identity():
-    for x in (B(6, {2: 1}), BurnsideElement.zero(4), B(6, {1: 1})):
-        assert conjugate(x) == x
 
 
 # --- ghost commutation and oracle equivalence ---------------------------------

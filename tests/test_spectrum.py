@@ -212,6 +212,13 @@ def test_export_json_roundtrip():
     assert poset_from_json(text) == poset
 
 
+def test_poset_from_json_rejects_points_not_in_the_spectrum():
+    doc = json.loads(export_json(enumerate_spectrum(CyclicGroupCtx(12), [0, 2])))
+    del doc["points"][0]
+    with pytest.raises(ValueError):
+        poset_from_json(json.dumps(doc))
+
+
 def test_hasse_transitive_closure_equals_relation():
     for n in (6, 12, 30):
         poset = enumerate_spectrum(CyclicGroupCtx(n), default_primes(n))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .burnside import (
@@ -54,13 +55,22 @@ from .spectrum import (
 )
 
 
+def integer(text: str) -> int:
+    """A decimal integer: ASCII digits after an optional minus sign, with
+    surrounding spaces allowed.  Unlike int(), rejects underscores, a plus
+    sign and non-ASCII digits."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text, re.ASCII):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_element(text: str) -> BurnsideElement:
     """Parse an element from JSON or from the shorthand t<m>@<h>."""
     text = text.strip()
     if text.startswith("t") and "@" in text and not text.startswith("{"):
         m_str, _, h_str = text[1:].partition("@")
         try:
-            return from_t(int(h_str), int(m_str))
+            return from_t(integer(h_str), integer(m_str))
         except ValueError as exc:
             raise ValueError(f"bad t-shorthand {text!r}: {exc}") from exc
     try:
@@ -78,14 +88,14 @@ def parse_spec(text: str, n: int) -> IdealSpec:
         fields[key.strip()] = value.strip()
     if set(fields) != {"c", "p"}:
         raise ValueError(f"spec must look like c=<d>,p=<p>, got {text!r}")
-    return IdealSpec(n, int(fields["c"]), int(fields["p"]))
+    return IdealSpec(n, integer(fields["c"]), integer(fields["p"]))
 
 
 def _primes(args) -> list[int]:
     """The comma-separated --primes option, or the default prime set for -n."""
     if not args.primes:
         return default_primes(args.n)
-    return [int(tok) for tok in args.primes.split(",") if tok.strip() != ""]
+    return [integer(tok) for tok in args.primes.split(",") if tok.strip() != ""]
 
 
 def _progress(args, message: str) -> None:
@@ -270,28 +280,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="enumerate the prime spectrum")
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=integer, required=True)
     sp.add_argument("--primes", help="comma-separated primes (0 allowed)")
     sp.add_argument("--format", choices=["dot", "json", "table"], default="dot")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("contains", help="symbolic ideal containment")
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=integer, required=True)
     sp.add_argument("a", metavar="A", help="spec c=<d>,p=<p>")
     sp.add_argument("b", metavar="B", help="spec c=<d>,p=<p>")
     sp.set_defaults(func=cmd_contains)
 
     sp = sub.add_parser("member", help="ideal membership of an element")
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=integer, required=True)
     sp.add_argument("--spec", required=True, help="spec c=<d>,p=<p>")
     sp.add_argument("--element", required=True, help="element JSON or t<m>@<h>")
     sp.set_defaults(func=cmd_member)
 
     sp = sub.add_parser("map", help="apply a structure map")
-    sp.add_argument("-n", type=int, default=None)
+    sp.add_argument("-n", type=integer, default=None)
     sp.add_argument("--op", choices=["res", "tr", "norm"], required=True)
-    sp.add_argument("--from", dest="src", type=int, required=True)
-    sp.add_argument("--to", dest="dst", type=int, required=True)
+    sp.add_argument("--from", dest="src", type=integer, required=True)
+    sp.add_argument("--to", dest="dst", type=integer, required=True)
     sp.add_argument("--element", required=True)
     sp.set_defaults(func=cmd_map)
 
@@ -304,25 +314,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_unghost)
 
     sp = sub.add_parser("gens", help="ring-theoretic generators of an ideal level")
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=integer, required=True)
     sp.add_argument("--spec", required=True)
-    sp.add_argument("--level", type=int, default=None)
+    sp.add_argument("--level", type=integer, default=None)
     sp.set_defaults(func=cmd_gens)
 
     sp = sub.add_parser("probe", help="search for primality counterexamples")
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("--bound", type=int, default=2)
-    sp.add_argument("--support", type=int, default=2)
+    sp.add_argument("-n", type=integer, required=True)
+    sp.add_argument("--bound", type=integer, default=2)
+    sp.add_argument("--support", type=integer, default=2)
     sp.add_argument("--primes")
     sp.set_defaults(func=cmd_probe)
 
     sp = sub.add_parser("oracle", help="cross-check formulas against G-sets")
     sp.add_argument("--check", choices=["norms", "transfers", "marks"], required=True)
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=integer, required=True)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("dress", help="Dress's spectrum of the Burnside ring")
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=integer, required=True)
     sp.add_argument("--primes")
     sp.add_argument("--format", choices=["json", "table"], default="table")
     sp.set_defaults(func=cmd_dress)

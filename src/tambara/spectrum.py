@@ -186,20 +186,27 @@ def dress_spectrum(ctx: CyclicGroupCtx, primes) -> SpectrumPoset:
 
 
 def hasse_edges(poset) -> list[tuple[int, int]]:
-    """Transitive reduction of the strict containment relation."""
+    """Transitive reduction of the strict containment relation.
+
+    (i, j) is a cover when i lies strictly below j and no point lies
+    strictly between them, i.e. the strict up-set of i (a bitmask) and the
+    strict down-set of j share no point.
+    """
     rel = poset.relation
     npts = len(rel)
-    edges = []
-    for i in range(npts):
-        for j in range(npts):
-            if i == j or not rel[i][j]:
-                continue
-            covered = any(
-                k not in (i, j) and rel[i][k] and rel[k][j] for k in range(npts)
-            )
-            if not covered:
-                edges.append((i, j))
-    return edges
+    up = [0] * npts
+    down = [0] * npts
+    for i, row in enumerate(rel):
+        for j, below in enumerate(row):
+            if below and i != j:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return [
+        (i, j)
+        for i, row in enumerate(rel)
+        for j, below in enumerate(row)
+        if below and i != j and not up[i] & down[j]
+    ]
 
 
 def _node_name(spec: IdealSpec) -> str:

@@ -27,6 +27,7 @@ from tambara.maps import ghost_res, ghost_tr, norm, norm_ghost, restrict, transf
 from tambara.spectrum import (
     contains,
     contains_semantic,
+    default_primes,
     dress_spectrum,
     enumerate_spectrum,
     hasse_edges,
@@ -196,6 +197,21 @@ def test_criterion_6_containment_cross_validation():
                     )
 
 
+def test_criterion_6_cross_validation_at_n_120():
+    with criterion(6, "containment and generator spans at n=120", 60.0):
+        points = enumerate_spectrum(CyclicGroupCtx(120), default_primes(120)).points
+        assert len(points) == 52
+        for a in points:
+            for b in points:
+                assert contains(a, b) == contains_semantic(a, b), (a.label, b.label)
+        for spec in points:
+            for h in divisors(120):
+                gens = level_generators(spec, h)
+                assert ring_ideal_lattice(h, gens).same_span(
+                    kernel_lattice(spec, h)
+                ), (spec.label, h)
+
+
 def test_criterion_7_krull_comparison():
     with criterion(7, "bijection with Dress spectrum, Krull 4 vs 1", 1.0):
         ctx = CyclicGroupCtx(12)
@@ -210,8 +226,6 @@ def test_criterion_8_tambara_generator_lemmas():
     with criterion(8, "Tambara generator membership lemmas", 30.0):
         for n in (4, 6, 8, 12):
             ctx = CyclicGroupCtx(n)
-            from tambara.spectrum import default_primes
-
             poset = enumerate_spectrum(ctx, default_primes(n))
             for spec in poset.points:
                 assert tambara_generator_check(spec), spec.label

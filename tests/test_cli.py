@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tambara.cli import parse_element, parse_spec, run
+from tambara.cli import integer, parse_element, parse_spec, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -190,6 +190,66 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "spectrum")[0] == 2  # missing -n
     assert invoke(capsys, "no-such-command")[0] == 2
     assert invoke(capsys)[0] == 2
+
+
+def test_integer_accepts_only_ascii_decimal_digits():
+    assert integer("12") == 12
+    assert integer(" -3 ") == -3
+    for text in ("1_2", "+12", "١٢", "12.0", "", "-", "0x10", "1 2"):
+        with pytest.raises(ValueError):
+            integer(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "-n", "1_2"],
+        ["spectrum", "-n", "١٢"],
+        ["contains", "-n", "+12", "c=1,p=0", "c=1,p=0"],
+        ["member", "-n", "1_2", "--spec", "c=2,p=2", "--element", "t1@12"],
+        ["map", "-n", "1_2", "--op", "res", "--from", "6", "--to", "2", "--element", "t3@6"],
+        ["map", "--op", "res", "--from", "6_0", "--to", "2", "--element", "t3@6"],
+        ["map", "--op", "res", "--from", "6", "--to", "2.0", "--element", "t3@6"],
+        ["gens", "-n", "1_2", "--spec", "c=2,p=0"],
+        ["gens", "-n", "12", "--spec", "c=2,p=0", "--level", "1_2"],
+        ["probe", "-n", "1_2"],
+        ["probe", "-n", "4", "--bound", "1_0"],
+        ["probe", "-n", "4", "--support", "0x2"],
+        ["oracle", "--check", "marks", "-n", "1_2"],
+        ["dress", "-n", "1_2"],
+    ],
+)
+def test_non_decimal_integer_option_is_usage_error(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "-n", "12", "--primes", "0,2_3"],
+        ["dress", "-n", "12", "--primes", "0,+2"],
+        ["probe", "-n", "4", "--primes", "0,２"],
+        ["contains", "-n", "12", "c=1_2,p=0", "c=1,p=0"],
+        ["contains", "-n", "12", "c=1,p=0", "c=1,p=2_3"],
+        ["member", "-n", "12", "--spec", "c=2,p=+2", "--element", "t1@12"],
+        ["gens", "-n", "12", "--spec", "c=１２,p=0"],
+        ["ghost", "--element", "t1_2@1_2"],
+        ["ghost", "--element", "t3@+6"],
+    ],
+)
+def test_non_decimal_integer_in_text_is_domain_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_integers_may_carry_surrounding_spaces(capsys):
+    spaced = invoke(capsys, "spectrum", "-n", " 12 ", "--primes", " 0, 2 ,3 ")
+    plain = invoke(capsys, "spectrum", "-n", "12", "--primes", "0,2,3")
+    assert spaced == plain and plain[0] == 0
+    code, out, _ = invoke(capsys, "contains", "-n", "12", "c= 6 ,p=0", "c=2,p= 0")
+    assert code == 0 and out.strip() == "true"
 
 
 def test_domain_errors_exit_1_with_json(capsys):

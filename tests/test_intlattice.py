@@ -1,6 +1,12 @@
 import random
+from math import gcd
 
+import pytest
+
+from tambara import intlattice
+from tambara.ideals import IdealSpec, kernel_lattice
 from tambara.intlattice import hnf, in_row_span, is_sublattice, kernel, preimage_mod, xgcd
+from tambara.lattice import divisors
 
 
 def random_matrix(rng, rows, cols, bound=6):
@@ -124,3 +130,86 @@ def test_preimage_mod_agrees_with_direct_check():
 def test_preimage_mod_zero_is_kernel():
     conds = [[1, 2, 3]]
     assert preimage_mod(conds, 3, 0) == kernel(conds, 3)
+
+
+def _preimage_mod_via_kernel(rows, ncols, p):
+    """Reference route: solve A x + p y = 0 by the integer kernel of
+    [A | p I] and project onto x.  Its HNF entries grow without bound."""
+    if not rows:
+        return kernel(rows, ncols)
+    nconds = len(rows)
+    augmented = [row + [p if i == j else 0 for j in range(nconds)]
+                 for i, row in enumerate(rows)]
+    full = kernel(augmented, ncols + nconds)
+    return hnf([row[:ncols] for row in full])
+
+
+def _assert_matches_kernel_route(conds, ncols, p):
+    basis = preimage_mod(conds, ncols, p)
+    assert basis == _preimage_mod_via_kernel(conds, ncols, p), (conds, p)
+    assert all(0 <= e <= p for row in basis for e in row), (conds, p)
+
+
+def test_preimage_mod_prime_matches_kernel_route_on_random_matrices():
+    rng = random.Random(2011)
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        conds = random_matrix(rng, rng.randint(0, 5), ncols, bound=rng.choice([1, 6, 40]))
+        _assert_matches_kernel_route(conds, ncols, rng.choice([2, 3, 5, 7, 11, 13]))
+
+
+def test_preimage_mod_prime_matches_kernel_route_on_mark_conditions():
+    # The conditions of kernel_lattice(IdealSpec(n, c, p), h) depend on c
+    # only through gcd(h, c), so these cases cover every (c, p) and h | n.
+    cases = {
+        (h, gcd(h, c), p)
+        for n in (12, 30, 60, 72)
+        for c in divisors(n)
+        for h in divisors(n)
+        for p in (2, 3, 5, 7, 11)
+    }
+    for h, g, p in sorted(cases):
+        divs = divisors(h)
+        conds = [[h // k if k % i == 0 else 0 for k in divs] for i in divisors(g)]
+        _assert_matches_kernel_route(conds, len(divs), p)
+
+
+def test_preimage_mod_prime_needs_no_xgcd(monkeypatch):
+    def forbidden(a, b):
+        raise AssertionError("xgcd called")
+
+    monkeypatch.setattr(intlattice, "xgcd", forbidden)
+    kernel_lattice.cache_clear()
+    try:
+        for c in divisors(60):
+            for p in (2, 3, 5, 7):
+                for h in divisors(60):
+                    kernel_lattice(IdealSpec(60, c, p), h)
+    finally:
+        kernel_lattice.cache_clear()
+
+
+def test_preimage_mod_rejects_composite_modulus():
+    with pytest.raises(ValueError):
+        preimage_mod([[1, 2]], 2, 4)
+
+
+def test_kernel_of_full_rank_echelon_rows_is_zero_without_hnf(monkeypatch):
+    def forbidden(rows):
+        raise AssertionError("hnf called")
+
+    monkeypatch.setattr(intlattice, "hnf", forbidden)
+    assert kernel([[3, 1, 0], [0, 0, -2], [0, 5, 7]], 3) == []
+    kernel_lattice.cache_clear()
+    try:
+        # the mark conditions of p_{C_360,0} at C_360: 24 x 24, triangular
+        assert kernel_lattice(IdealSpec(360, 360, 0), 360).basis == ()
+    finally:
+        kernel_lattice.cache_clear()
+
+
+def test_kernel_without_a_lead_in_every_column_still_solves():
+    # leading entries in columns 0 and 0 only: not full rank
+    assert kernel([[1, 1, 0], [1, 0, 1]], 3) == [[1, -1, -1]]
+    # leads in columns 0, 1 and 1 miss column 2, but the rows have full rank
+    assert kernel([[1, 0, 0], [0, 1, 0], [0, 1, 1]], 3) == []

@@ -13,6 +13,7 @@ must never overflow.
 
 from __future__ import annotations
 
+import re
 from math import gcd
 
 from .lattice import divisors, moebius, require_divides, check_prime_or_zero
@@ -26,22 +27,37 @@ class NotInGhostImage(ValueError):
         self.divisor = divisor
 
 
+def integer(text: str) -> int:
+    """A decimal integer: ASCII digits after an optional minus sign, with
+    surrounding spaces allowed.  Unlike int(), rejects underscores, a plus
+    sign and non-ASCII digits."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text, re.ASCII):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 class BurnsideElement:
     """Sparse element of A(C_level) in the transitive basis.
 
     ``coeffs[k]`` is the multiplicity of the orbit C_level/C_k.  Supports
     +, -, unary -, * (ring product via the t-rule and int scaling), ==,
-    and hashing.
+    and hashing.  A level, key or coefficient that is not exactly an int
+    raises TypeError; nothing is coerced.
     """
 
     __slots__ = ("level", "coeffs")
 
     def __init__(self, level: int, coeffs: dict[int, int] | None = None):
+        if type(level) is not int:
+            raise TypeError(f"level must be an int, got {level!r}")
         if level < 1:
             raise ValueError(f"level must be a positive integer, got {level}")
         clean: dict[int, int] = {}
         for k, m in (coeffs or {}).items():
-            require_divides(k, level, "orbit stabilizer")
+            if type(k) is not int or type(m) is not int:
+                raise TypeError(f"orbit {k!r} and coefficient {m!r} must be ints")
+            if k < 1 or level % k:
+                raise ValueError(f"orbit stabilizer: {k} is not a divisor of {level}")
             if m:
                 clean[k] = m
         self.level = level
@@ -159,18 +175,26 @@ def from_t(level: int, m: int) -> BurnsideElement:
 
 
 class GhostVector:
-    """Mark tuple of an element of A(C_level), indexed by all i | level."""
+    """Mark tuple of an element of A(C_level), indexed by all i | level.
+
+    Like BurnsideElement, it takes only exact ints (TypeError otherwise).
+    """
 
     __slots__ = ("level", "values")
 
     def __init__(self, level: int, values: dict[int, int]):
+        if type(level) is not int:
+            raise TypeError(f"level must be an int, got {level!r}")
+        for i, v in values.items():
+            if type(i) is not int or type(v) is not int:
+                raise TypeError(f"subgroup {i!r} and mark {v!r} must be ints")
         divs = divisors(level)
         if sorted(values) != divs:
             raise ValueError(
                 f"ghost vector at level {level} must have exactly the keys {divs}"
             )
         self.level = level
-        self.values = {i: int(values[i]) for i in divs}
+        self.values = {i: values[i] for i in divs}
 
     def pointwise_mul(self, other: "GhostVector") -> "GhostVector":
         if self.level != other.level:
@@ -253,7 +277,7 @@ def _json_ints(obj, key: str, what: str) -> tuple[int, dict[int, int]]:
     for value in (obj["level"], *entries.values()):
         if type(value) is not int:
             raise ValueError(f"{what} JSON values must be integers, got {value!r}")
-    return obj["level"], {int(k): v for k, v in entries.items()}
+    return obj["level"], {integer(k): v for k, v in entries.items()}
 
 
 def element_from_json(obj: dict) -> BurnsideElement:

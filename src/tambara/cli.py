@@ -4,14 +4,14 @@ Subcommands: spectrum, contains, member, map, ghost, unghost, gens,
 probe, oracle, dress.  Elements are passed as JSON
 ({"level": h, "coeffs": {"k": m}}) or as the shorthand t<m>@<h> for the
 transitive set of order m at level h.  Exit codes: 0 success, 1 domain
-error (machine-readable JSON on stderr), 2 usage error.
+error, 2 usage error, 3 broken internal invariant (InvariantError); codes
+1 and 3 write a JSON {"error", "message"} object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .burnside import (
@@ -23,6 +23,7 @@ from .burnside import (
     ghost,
     ghost_from_json,
     ghost_to_json,
+    integer,
     unghost,
 )
 from .gsets import (
@@ -41,7 +42,7 @@ from .ideals import (
     member,
     primality_probe,
 )
-from .lattice import CyclicGroupCtx, divisors, require_divides
+from .lattice import CyclicGroupCtx, InvariantError, divisors, require_divides
 from .maps import norm, restrict, transfer
 from .spectrum import (
     contains,
@@ -53,15 +54,6 @@ from .spectrum import (
     hasse_edges,
     krull_dimension,
 )
-
-
-def integer(text: str) -> int:
-    """A decimal integer: ASCII digits after an optional minus sign, with
-    surrounding spaces allowed.  Unlike int(), rejects underscores, a plus
-    sign and non-ASCII digits."""
-    if not re.fullmatch(r"\s*-?[0-9]+\s*", text, re.ASCII):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
 
 
 def parse_element(text: str) -> BurnsideElement:
@@ -96,11 +88,6 @@ def _primes(args) -> list[int]:
     if not args.primes:
         return default_primes(args.n)
     return [integer(tok) for tok in args.primes.split(",") if tok.strip() != ""]
-
-
-def _progress(args, message: str) -> None:
-    if not args.quiet:
-        print(message, file=sys.stderr)
 
 
 def _print_table(title: str, poset) -> None:
@@ -190,7 +177,6 @@ def cmd_probe(args) -> int:
     }
     clean = True
     for spec in poset.points:
-        _progress(args, f"probing {spec.label} ...")
         pairs = primality_probe(spec, bound=args.bound, max_support=args.support)
         clean = clean and not pairs
         report["specs"].append(
@@ -222,7 +208,7 @@ def cmd_oracle(args) -> int:
                 s = realize(x)
                 for i in divisors(h):
                     if fixed_points(s, i) != x.mark(i):
-                        raise AssertionError(f"mark mismatch at {x}, C_{i}")
+                        raise InvariantError(f"mark mismatch at {x}, C_{i}")
                     cases += 1
     elif args.check == "transfers":
         for h in ctx.divisors:
@@ -231,7 +217,7 @@ def cmd_oracle(args) -> int:
                     if any(m < 0 for m in x.coeffs.values()):
                         continue
                     if decompose(induce(realize(x), h)) != transfer(x, h):
-                        raise AssertionError(f"transfer mismatch at {x} -> C_{h}")
+                        raise InvariantError(f"transfer mismatch at {x} -> C_{h}")
                     cases += 1
     else:
         for h in ctx.divisors:
@@ -244,7 +230,7 @@ def cmd_oracle(args) -> int:
                     except BudgetExceeded:
                         continue
                     if oracle != norm(x, h):
-                        raise AssertionError(f"norm mismatch at {x} -> C_{h}")
+                        raise InvariantError(f"norm mismatch at {x} -> C_{h}")
                     cases += 1
     print(f"{args.check}: OK ({cases} cases)")
     return 0
@@ -273,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tambara",
         description="Burnside Tambara functor of a cyclic group: structure "
         "maps, ideals, and the prime spectrum.",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress progress output on stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -349,11 +332,11 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, AssertionError, KeyError,
+    except (ValueError, ArithmeticError, InvariantError, KeyError,
             NotInGhostImage, NegativeCoefficient, BudgetExceeded) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, InvariantError) else 1
 
 
 def main() -> None:

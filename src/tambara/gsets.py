@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsideElement
-from .lattice import require_divides
+from .lattice import InvariantError, require_divides
 
 
 class NegativeCoefficient(ValueError):
@@ -99,7 +99,7 @@ def decompose(s: ConcreteGSet) -> BurnsideElement:
     coeffs: dict[int, int] = {}
     for length in _cycle_lengths(s.perm):
         if h % length:
-            raise AssertionError("orbit sizes divide the group order")
+            raise InvariantError("orbit sizes divide the group order")
         k = h // length
         coeffs[k] = coeffs.get(k, 0) + 1
     return BurnsideElement(h, coeffs)

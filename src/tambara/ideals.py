@@ -5,8 +5,10 @@ level at C_h consists of the elements whose marks vanish mod p at every
 subgroup of C_gcd(h,c).  The module provides membership, the psi
 decomposition along intersection-with-C_c cells, explicit ring-theoretic
 generators, exact integer-lattice realizations of each level (so that
-"generated ideal equals kernel" is an HNF matrix comparison), and the
-Q-criterion used to probe primality.
+"generated ideal equals kernel" is an HNF matrix comparison), and
+Nakaoka's primality condition Q: ``q_check`` evaluates it on one pair by
+computing norms, and ``primality_probe`` decides it on a whole box of
+pairs with one bitmask of covered mark conditions per element.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .burnside import BurnsideElement, from_t, from_vector, to_vector
 from .intlattice import hnf, in_row_span, is_sublattice, preimage_mod
 from .lattice import (
     CyclicGroupCtx,
+    InvariantError,
     check_prime_or_zero,
     divisors,
     p_part,
@@ -110,7 +113,7 @@ def level_generators(spec: IdealSpec, h: int) -> list[BurnsideElement]:
             )
     for g in gens:
         if not member(spec, g):
-            raise AssertionError(f"generator {g} is not a member of {spec.label}")
+            raise InvariantError(f"generator {g} is not a member of {spec.label}")
     return gens
 
 
@@ -140,7 +143,7 @@ class LevelLattice:
             for k in divisors(self.level):
                 y = x * BurnsideElement.transitive(self.level, k)
                 if not in_row_span(rows, to_vector(y)):
-                    raise AssertionError(
+                    raise InvariantError(
                         f"row span at level {self.level} is not an ideal: "
                         f"{x} * C/C_{k} escapes"
                     )
@@ -215,30 +218,22 @@ class QReport:
     witness: QWitness | None = None
 
 
-def _family_conditions(family):
-    """Normalize a spec-style family to (n, conditions) or raise TypeError."""
+def _family(family, n: int | None) -> tuple[int, tuple[IdealSpec, ...]]:
+    """The ambient order and the specs of an IdealSpec or a sequence of them."""
     if isinstance(family, IdealSpec):
-        return family.n, (family,)
-    if isinstance(family, (list, tuple)):
+        specs = (family,)
+    elif isinstance(family, (list, tuple)) and all(isinstance(s, IdealSpec) for s in family):
         specs = tuple(family)
-        if not all(isinstance(s, IdealSpec) for s in specs):
-            raise TypeError("family sequence must contain IdealSpec values")
-        ns = {s.n for s in specs}
-        if len(ns) > 1:
-            raise ValueError(f"family mixes ambient orders {sorted(ns)}")
-        return (ns.pop() if ns else None), specs
-    raise TypeError("not a spec-style family")
-
-
-def _family_predicate(family):
-    """A per-level membership predicate plus the ambient order if known."""
-    try:
-        n, specs = _family_conditions(family)
-        return (lambda x: all(member(s, x) for s in specs)), n
-    except TypeError:
-        if callable(family):
-            return family, None
-        raise
+    else:
+        raise TypeError("a family is an IdealSpec or a sequence of IdealSpec values")
+    ns = {s.n for s in specs}
+    if len(ns) > 1:
+        raise ValueError(f"family mixes ambient orders {sorted(ns)}")
+    if n is None and ns:
+        n = ns.pop()
+    if n is None:
+        raise ValueError("an empty family needs the ambient order n")
+    return n, specs
 
 
 def q_check(family, a: BurnsideElement, b: BurnsideElement, n: int | None = None) -> QReport:
@@ -248,11 +243,7 @@ def q_check(family, a: BurnsideElement, b: BurnsideElement, n: int | None = None
     all K | level(a), K' | level(b), L | n with K | L and K' | L.  The
     first violating triple (with the offending product) is reported.
     """
-    member_fn, inferred = _family_predicate(family)
-    if n is None:
-        n = inferred
-    if n is None:
-        raise ValueError("q_check needs the ambient order n for this family")
+    n, specs = _family(family, n)
     require_divides(a.level, n, "element level")
     require_divides(b.level, n, "element level")
     res_a = {k: restrict(a, k) for k in divisors(a.level)}
@@ -271,7 +262,7 @@ def q_check(family, a: BurnsideElement, b: BurnsideElement, n: int | None = None
             for kp in divisors(gcd(b.level, level)):
                 nb = normed(1, res_b[kp], kp, level)
                 prod = na * nb
-                if not member_fn(prod):
+                if not all(member(s, prod) for s in specs):
                     return QReport(False, QWitness(k, kp, level, prod))
     return QReport(True)
 
@@ -293,109 +284,50 @@ def primality_probe(
     family,
     n: int | None = None,
     bound: int = 2,
-    levels=None,
     max_support: int = 2,
 ) -> list[tuple[BurnsideElement, BurnsideElement]]:
     """Search for counterexamples to primality of the family.
 
-    Enumerates all pairs (a, b) over the given levels with coefficients
-    in [-bound, bound] and bounded support, and returns every pair for
-    which Q holds although neither element is a member.  An empty result
-    means no falsification at this scale, never a proof of primality.
+    Enumerates the box elements of every level h | n (coefficients in
+    [-bound, bound], at most ``max_support`` of them nonzero), level by
+    level in ``box_elements`` order, and returns every pair (a, b) with a
+    not after b for which Q holds although neither element is a member.
+    An empty result means no falsification at this scale, never a proof
+    of primality.
+
+    Q is decided without computing a norm.  Q(a, b) asks that the mark at
+    C_i of N_K^L res_K a * N_K'^L res_K' b vanish mod p for every spec
+    (c, p), level L | n, i | gcd(L, c), K | gcd(level(a), L) and
+    K' | gcd(level(b), L).  The mark at C_i of N_K^L res_K a is a positive
+    power of the mark of a at C_gcd(i, K), and Z/p (Z for p = 0) is an
+    integral domain, so the product vanishes iff one factor does, and it
+    vanishes for all K, K' iff the a-factor does for all K or the b-factor
+    does for all K'.  As K runs, gcd(i, K) runs over the j | gcd(i,
+    level(a)).  So Q holds iff every slot (i, p) is covered by a or by b,
+    where a covers it when the marks of a at every j | gcd(i, level(a))
+    vanish mod p.  A slot does not depend on L, and every i | c occurs at
+    L = i, so the slots are the (i, p) with i | c.  With one bit per slot,
+    Q(a, b) is ``mask[a] | mask[b] == full``.
     """
-    conds = None
-    try:
-        inferred, conds = _family_conditions(family)
-        if n is None:
-            n = inferred
-    except TypeError:
-        pass
-    if n is None:
-        raise ValueError("primality_probe needs the ambient order n")
-    levels = sorted(set(levels)) if levels else divisors(n)
-    for h in levels:
-        require_divides(h, n, "probe level")
-    elems = [e for h in levels for e in box_elements(h, bound, max_support)]
-    if conds is not None:
-        return _probe_spec_family(conds, n, elems)
-    member_fn, _ = _family_predicate(family)
-    found = []
-    for i, a in enumerate(elems):
-        if member_fn(a):
-            continue
-        for b in elems[i:]:
-            if member_fn(b):
+    n, specs = _family(family, n)
+    slots = list({(i, s.p) for s in specs for i in divisors(s.c)})
+    full = (1 << len(slots)) - 1
+    elems, masks = [], []
+    for h in divisors(n):
+        for e in box_elements(h, bound, max_support):
+            if all(member(s, e) for s in specs):
                 continue
-            if q_check(family, a, b, n=n).holds:
-                found.append((a, b))
-    return found
-
-
-def _probe_spec_family(conds, n, elems):
-    """Exhaustive Q search specialized to mark-condition families.
-
-    Works coordinate-wise on mark vectors: the marks of a product are the
-    pointwise products of marks, and membership is a mod-p test on them.
-    Norms of restrictions are computed once per (element, K, L) by the
-    recursion in :mod:`tambara.maps` and reused across all pairs.  Triples
-    are visited with the likely-violating ones (top level, witness
-    subgroups of non-membership) first, which makes the no-counterexample
-    case fast without changing the answer.
-    """
-    div_of = {d: divisors(d) for d in divisors(n)}
-    checks = {
-        level: [(i, s.p) for s in conds for i in div_of[gcd(level, s.c)]]
-        for level in div_of
-    }
-
-    k_orders = []
-    is_member = []
-    for e in elems:
-        marks = {i: e.mark(i) for i in div_of[e.level]}
-        failing = [
-            i for i, p in checks[e.level] if (marks[i] % p if p else marks[i]) != 0
-        ]
-        k_orders.append(list(dict.fromkeys(failing + div_of[e.level])))
-        is_member.append(not failing)
-
-    level_order = list(reversed(div_of[n]))
-    nr_cache: dict[tuple[int, int, int], dict[int, int]] = {}
-
-    def normed_marks(idx, k, level):
-        key = (idx, k, level)
-        got = nr_cache.get(key)
-        if got is None:
-            nm = norm(restrict(elems[idx], k), level)
-            got = {i: nm.mark(i) for i in div_of[level]}
-            nr_cache[key] = got
-        return got
-
-    def q_holds(ia, ib):
-        for level in level_order:
-            lchecks = checks[level]
-            for k in k_orders[ia]:
-                if level % k:
-                    continue
-                ga = normed_marks(ia, k, level)
-                for kp in k_orders[ib]:
-                    if level % kp:
-                        continue
-                    gb = normed_marks(ib, kp, level)
-                    for i, p in lchecks:
-                        v = ga[i] * gb[i]
-                        if (v % p if p else v) != 0:
-                            return False
-        return True
-
+            mask = 0
+            for bit, (i, p) in enumerate(slots):
+                if all(e.mark_mod(j, p) == 0 for j in divisors(gcd(i, h))):
+                    mask |= 1 << bit
+            elems.append(e)
+            masks.append(mask)
     found = []
-    for ia in range(len(elems)):
-        if is_member[ia]:
-            continue
-        for ib in range(ia, len(elems)):
-            if is_member[ib]:
-                continue
-            if q_holds(ia, ib):
-                found.append((elems[ia], elems[ib]))
+    for a, mask_a in enumerate(masks):
+        for b in range(a, len(masks)):
+            if mask_a | masks[b] == full:
+                found.append((elems[a], elems[b]))
     return found
 
 

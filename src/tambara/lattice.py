@@ -14,6 +14,10 @@ from functools import lru_cache
 from math import gcd
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: a bug in the package, not bad input."""
+
+
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending."""
     if n < 1:
@@ -153,7 +157,7 @@ def s_partition(ctx: CyclicGroupCtx, c: int) -> dict[int, tuple[tuple[int, ...],
     for j, members in cells.items():
         tops = [m for m in members if all(m % d == 0 for d in members)]
         if len(tops) != 1:
-            raise AssertionError(
+            raise InvariantError(
                 f"S_{j} in C_{ctx.n} lacks a unique divisibility-maximum: {members}"
             )
         out[j] = (tuple(members), tops[0])

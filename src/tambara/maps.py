@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import gcd
 
 from .burnside import BurnsideElement, GhostVector
-from .lattice import divisors, require_divides
+from .lattice import InvariantError, divisors, require_divides
 
 
 def restrict(x: BurnsideElement, j: int) -> BurnsideElement:
@@ -36,7 +36,7 @@ def restrict(x: BurnsideElement, j: int) -> BurnsideElement:
         g = gcd(k, j)
         orbits, rem = divmod((h // k) * g, j)
         if rem:
-            raise AssertionError("orbit count must be integral")
+            raise InvariantError("orbit count must be integral")
         acc[g] = acc.get(g, 0) + m * orbits
     return BurnsideElement(j, acc)
 
@@ -61,7 +61,7 @@ def norm(x: BurnsideElement, h: int) -> BurnsideElement:
         c[kappa] = value
         q, r = divmod(value, h // kappa)
         if r:
-            raise AssertionError(
+            raise InvariantError(
                 f"norm recursion produced non-integral C({kappa})/{h // kappa}"
             )
         if q:

@@ -20,6 +20,7 @@ from functools import partial
 from .ideals import IdealSpec, kernel_lattice
 from .lattice import (
     CyclicGroupCtx,
+    InvariantError,
     check_prime_or_zero,
     divisors,
     is_prime,
@@ -118,7 +119,7 @@ def _build_poset(n: int, primes, point, contains_fn) -> SpectrumPoset:
         column = (other[i] for other in relation[i + 1:])
         for j, (a_in_b, b_in_a) in enumerate(zip(row[i + 1:], column), i + 1):
             if a_in_b and b_in_a:
-                raise AssertionError(
+                raise InvariantError(
                     f"distinct canonical points {points[i].label} and "
                     f"{points[j].label} contain each other"
                 )

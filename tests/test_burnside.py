@@ -172,6 +172,24 @@ def test_ghost_vector_validates_keys():
         GhostVector(6, {1: 1, 2: 1})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: B(6, {2: 1.5}),
+        lambda: B(6, {2.0: 1}),
+        lambda: B(6, {2: True}),
+        lambda: B(6.0, {2: 1}),
+        lambda: GhostVector(2, {1: 1.5, 2: 1}),
+        lambda: GhostVector(2, {1.0: 1, 2: 1}),
+        lambda: GhostVector(2.0, {1: 1, 2: 1}),
+    ],
+    ids=["value", "key", "bool", "level", "mark", "ghost-key", "ghost-level"],
+)
+def test_constructors_reject_non_int(make):
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_ghost_is_ring_homomorphism_fuzz():
     rng = random.Random(20260809)
     for _ in range(300):

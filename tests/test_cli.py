@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from tambara.burnside import BurnsideElement
 from tambara.cli import integer, parse_element, parse_spec, run
+from tambara.maps import norm
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,8 +149,8 @@ def test_gens_command(capsys):
 
 
 def test_probe_command_small(capsys):
-    code, out, _ = invoke(capsys, "--quiet", "probe", "-n", "4", "--bound", "1")
-    assert code == 0
+    code, out, err = invoke(capsys, "probe", "-n", "4", "--bound", "1")
+    assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["verdict"].startswith("no counterexample found at this scale")
     assert all(not entry["counterexamples"] for entry in doc["specs"])
@@ -178,6 +180,11 @@ def test_dress_command(capsys):
         ["ghost", "--element", '{"level":12,"coeffs":{"12":true}}'],
         ["ghost", "--element", '{"level":12.0,"coeffs":{"12":1}}'],
         ["ghost", "--element", '{"level":12,"coeffs":[1]}'],
+        # keys are read like integers on the command line, not by int()
+        ["ghost", "--element", '{"level":12,"coeffs":{"1_2":1}}'],
+        ["ghost", "--element", '{"level":12,"coeffs":{"١٢":1}}'],
+        ["unghost", "--vector", '{"level":12,"marks":{"1":1,"2":1,"3":1,"4":1,"6":1,"1_2":1}}'],
+        ["unghost", "--vector", '{"level":12,"marks":{"1":1,"2":1,"3":1,"4":1,"6":1,"١٢":1}}'],
     ],
 )
 def test_malformed_json_input_exit_1(capsys, argv):
@@ -257,6 +264,16 @@ def test_domain_errors_exit_1_with_json(capsys):
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == "ValueError" and "positive" in payload["message"]
+
+
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    # a wrong norm formula must surface as a broken invariant, not bad input
+    monkeypatch.setattr(
+        "tambara.cli.norm", lambda x, h: norm(x, h) + BurnsideElement.unit(h)
+    )
+    code, out, err = invoke(capsys, "oracle", "--check", "norms", "-n", "4")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "InvariantError"
 
 
 def test_module_entry_point_runs():

@@ -257,11 +257,16 @@ def test_q_check_reports_witness():
     assert not member(spec, report.witness.element)
 
 
-def test_q_check_callable_family_needs_n():
-    always = lambda x: True
+def test_callable_family_is_rejected():
+    unit = BurnsideElement.unit(2)
+    with pytest.raises(TypeError):
+        q_check(lambda x: True, unit, unit, n=2)
+    with pytest.raises(TypeError):
+        primality_probe(lambda x: True, n=2)
+    # an empty family still needs the ambient order
     with pytest.raises(ValueError):
-        q_check(always, BurnsideElement.unit(2), BurnsideElement.unit(2))
-    assert q_check(always, BurnsideElement.unit(2), BurnsideElement.unit(2), n=2).holds
+        q_check([], unit, unit)
+    assert q_check([], unit, unit, n=2).holds
 
 
 def test_box_elements_counts():
@@ -289,35 +294,32 @@ def test_primality_probe_trivial_family_is_empty():
     assert primality_probe([], n=6, bound=2) == []
 
 
-def test_probe_fast_path_matches_generic_q_check():
-    for spec in (IdealSpec(4, 2, 0), IdealSpec(4, 1, 2), IdealSpec(6, 3, 3)):
-        fast = primality_probe(spec, bound=1, max_support=2)
-        generic = primality_probe(
-            lambda x: member(spec, x), n=spec.n, bound=1, max_support=2
-        )
-        assert fast == generic
-    family = [IdealSpec(4, 1, 2), IdealSpec(4, 1, 3)]
-    fast = primality_probe(family, bound=1, max_support=1)
-    generic = primality_probe(
-        lambda x: all(member(s, x) for s in family), n=4, bound=1, max_support=1
-    )
-    assert fast == generic
+PROBE_FAMILIES = [
+    IdealSpec(n, c, p) for n in (4, 6) for c in divisors(n) for p in (0, 2, 3, 5)
+] + [
+    [IdealSpec(4, 1, 2), IdealSpec(4, 1, 3)],
+    [IdealSpec(6, 2, 2), IdealSpec(6, 3, 3)],  # pairs at levels 2, 3 and 6
+]
 
 
-def test_probe_matches_manual_q_check_loop():
-    # the probe's mark-vector route is q_check pair by pair, verbatim
-    spec = IdealSpec(6, 2, 2)
-    elems = [e for h in divisors(6) for e in box_elements(h, 1, 2)]
-    manual = []
-    for i, a in enumerate(elems):
-        if member(spec, a):
-            continue
-        for b in elems[i:]:
-            if member(spec, b):
-                continue
-            if q_check(spec, a, b).holds:
-                manual.append((a, b))
-    assert primality_probe(spec, bound=1, max_support=2) == manual
+@pytest.mark.parametrize(
+    "family",
+    PROBE_FAMILIES,
+    ids=lambda f: "&".join(f"{s.n},{s.c},{s.p}" for s in (f if isinstance(f, list) else [f])),
+)
+def test_probe_matches_q_check_loop(family):
+    # reference: q_check on every pair of non-members, in box order
+    specs = family if isinstance(family, list) else [family]
+    elems = [
+        e
+        for h in divisors(specs[0].n)
+        for e in box_elements(h, 1, 2)
+        if not all(member(s, e) for s in specs)
+    ]
+    expected = [
+        (a, b) for i, a in enumerate(elems) for b in elems[i:] if q_check(family, a, b).holds
+    ]
+    assert primality_probe(family, bound=1, max_support=2) == expected
 
 
 def test_tambara_generator_check_examples():

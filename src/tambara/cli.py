@@ -90,6 +90,20 @@ def _primes(args) -> list[int]:
     return [integer(tok) for tok in args.primes.split(",") if tok.strip() != ""]
 
 
+def _print_json(obj, indent=None) -> None:
+    """Print obj as JSON with integers of any length: a norm or a mark
+    easily exceeds the interpreter's int-to-str limit (4,300 digits by
+    default), which is lifted for this output only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(obj, indent=indent))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def _print_table(title: str, poset) -> None:
     """Header line with point count and Krull dimension, then one line per point."""
     print(
@@ -141,19 +155,19 @@ def cmd_map(args) -> int:
         result = transfer(x, args.dst)
     else:
         result = norm(x, args.dst)
-    print(json.dumps(element_to_json(result)))
+    _print_json(element_to_json(result))
     return 0
 
 
 def cmd_ghost(args) -> int:
     x = parse_element(args.element)
-    print(json.dumps(ghost_to_json(ghost(x))))
+    _print_json(ghost_to_json(ghost(x)))
     return 0
 
 
 def cmd_unghost(args) -> int:
     v = ghost_from_json(json.loads(args.vector))
-    print(json.dumps(element_to_json(unghost(v))))
+    _print_json(element_to_json(unghost(v)))
     return 0
 
 
@@ -161,7 +175,7 @@ def cmd_gens(args) -> int:
     spec = parse_spec(args.spec, args.n)
     level = args.level if args.level is not None else args.n
     gens = level_generators(spec, level)
-    print(json.dumps([element_to_json(g) for g in gens]))
+    _print_json([element_to_json(g) for g in gens])
     return 0
 
 
@@ -193,7 +207,7 @@ def cmd_probe(args) -> int:
         if clean
         else "counterexamples found"
     )
-    print(json.dumps(report, indent=2))
+    _print_json(report, indent=2)
     return 0
 
 
@@ -248,7 +262,7 @@ def cmd_dress(args) -> int:
             ],
             "krull_dimension": krull_dimension(poset),
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc, indent=2)
     else:
         _print_table(f"Spec of the Burnside ring A(C_{poset.n})", poset)
     return 0

@@ -3,22 +3,25 @@
 An ideal here is named by a pair (C_c, p) with p a prime or zero: its
 level at C_h consists of the elements whose marks vanish mod p at every
 subgroup of C_gcd(h,c).  The module provides membership, the psi
-decomposition along intersection-with-C_c cells, explicit ring-theoretic
+cell sums along intersection-with-C_c cells, explicit ring-theoretic
 generators, exact integer-lattice realizations of each level (so that
 "generated ideal equals kernel" is an HNF matrix comparison), and
 Nakaoka's primality condition Q: ``q_check`` evaluates it on one pair by
 computing norms, and ``primality_probe`` decides it on a whole box of
-pairs with one bitmask of covered mark conditions per element.
+pairs with one bitmask of covered mark conditions per element, grouped
+into classes of equal masks.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import not_
 
-from .burnside import BurnsideElement, from_t, from_vector, to_vector
+from .burnside import BurnsideElement, from_t, from_vector, mark_table, to_vector
 from .intlattice import hnf, in_row_span, is_sublattice, preimage_mod
 from .lattice import (
     CyclicGroupCtx,
@@ -70,16 +73,6 @@ def psi(x: BurnsideElement, c: int, j: int) -> int:
     return sum(
         m * (n // d) for d, m in x.coeffs.items() if gcd(d, c) == j
     )
-
-
-def decompose_by_c(x: BurnsideElement, c: int) -> dict[int, BurnsideElement]:
-    """Split X into the components X_j supported on the cells S_j, j | c."""
-    n = x.level
-    require_divides(c, n, "cell subgroup")
-    parts = {j: {} for j in divisors(c)}
-    for d, m in x.coeffs.items():
-        parts[gcd(d, c)][d] = m
-    return {j: BurnsideElement(n, cs) for j, cs in parts.items()}
 
 
 def level_generators(spec: IdealSpec, h: int) -> list[BurnsideElement]:
@@ -174,10 +167,8 @@ def kernel_lattice(spec: IdealSpec, h: int) -> LevelLattice:
     """
     require_divides(h, spec.n, "lattice level")
     divs = divisors(h)
-    conds = [
-        [(h // k) if k % i == 0 else 0 for k in divs]
-        for i in divisors(gcd(h, spec.c))
-    ]
+    g = gcd(h, spec.c)
+    conds = [row for i, row in zip(divs, mark_table(h)) if g % i == 0]
     rows = preimage_mod(conds, len(divs), spec.p)
     return LevelLattice.from_rows(h, rows)
 
@@ -267,17 +258,26 @@ def q_check(family, a: BurnsideElement, b: BurnsideElement, n: int | None = None
     return QReport(True)
 
 
+def _box(d: int, bound: int, max_support: int):
+    """The box over d orbits in its one enumeration order, as pairs
+    (orbit indices, coefficients): the zero element first, then by support
+    size, orbit index tuple and coefficient tuple."""
+    vals = [v for v in range(-bound, bound + 1) if v]
+    yield (), ()
+    for size in range(1, max_support + 1):
+        for idx in itertools.combinations(range(d), size):
+            for ms in itertools.product(vals, repeat=size):
+                yield idx, ms
+
+
 def box_elements(level: int, bound: int, max_support: int = 2) -> list[BurnsideElement]:
     """All elements at the level with at most ``max_support`` nonzero
     coefficients, each in [-bound, bound]."""
     divs = divisors(level)
-    vals = [v for v in range(-bound, bound + 1) if v]
-    out = [BurnsideElement.zero(level)]
-    for size in range(1, max_support + 1):
-        for keys in itertools.combinations(divs, size):
-            for ms in itertools.product(vals, repeat=size):
-                out.append(BurnsideElement(level, dict(zip(keys, ms))))
-    return out
+    return [
+        BurnsideElement(level, {divs[j]: m for j, m in zip(idx, ms)})
+        for idx, ms in _box(len(divs), bound, max_support)
+    ]
 
 
 def primality_probe(
@@ -308,26 +308,78 @@ def primality_probe(
     vanish mod p.  A slot does not depend on L, and every i | c occurs at
     L = i, so the slots are the (i, p) with i | c.  With one bit per slot,
     Q(a, b) is ``mask[a] | mask[b] == full``.
+
+    Lemma: an element covers the top slot (c, p) of a spec exactly when it
+    is a member of that spec, because both ask the marks at every
+    j | gcd(c, level) to vanish mod p.  So an element is a member of the
+    family iff its mask holds every top slot, and for a single spec no
+    non-member covers (c, p), no pair of non-members covers ``full``, and
+    the result is always [].
+
+    Each box element is a coefficient tuple whose marks come from
+    ``mark_table``; only the elements of returned pairs are built.  The
+    non-members are grouped by mask, and Q is decided between the
+    distinct masks: when no two of them complete each other to ``full``,
+    the result is [] before any pair is formed.
     """
     n, specs = _family(family, n)
-    slots = list({(i, s.p) for s in specs for i in divisors(s.c)})
+    slots = sorted({(i, s.p) for s in specs for i in divisors(s.c)})
     full = (1 << len(slots)) - 1
-    elems, masks = [], []
+    top = sum(1 << slots.index((s.c, s.p)) for s in specs)
+    primes = sorted({p for _, p in slots})
+    boxes, masks = [], []  # (level, divisors, indices, coefficients) and mask of each non-member
     for h in divisors(n):
-        for e in box_elements(h, bound, max_support):
-            if all(member(s, e) for s in specs):
-                continue
-            mask = 0
-            for bit, (i, p) in enumerate(slots):
-                if all(e.mark_mod(j, p) == 0 for j in divisors(gcd(i, h))):
-                    mask |= 1 << bit
-            elems.append(e)
-            masks.append(mask)
+        divs = divisors(h)
+        table = mark_table(h)
+        # (bit, prime position, divisors of gcd(i, h) as a bitmask over divs)
+        needs = [
+            (1 << bit, primes.index(p), sum(1 << t for t, j in enumerate(divs) if i % j == 0))
+            for bit, (i, p) in enumerate(slots)
+        ]
+        # column j of the table times m: the marks of m * C_h/C_{divs[j]}
+        scaled = [
+            {m: [m * row[j] for row in table] for m in range(-bound, bound + 1)}
+            for j in range(len(divs))
+        ]
+        origin = [0] * len(divs)
+        bits = [1 << t for t in range(len(divs))]
+        for idx, ms in _box(len(divs), bound, max_support):
+            marks = list(map(sum, zip(origin, *(scaled[j][m] for j, m in zip(idx, ms)))))
+            # per prime, the bitmask over divs of the marks that vanish mod p
+            zeros = [
+                sum(itertools.compress(bits, map(not_, map(p.__rmod__, marks) if p else marks)))
+                for p in primes
+            ]
+            mask = sum(bit for bit, q, need in needs if need & ~zeros[q] == 0)
+            if mask & top != top:
+                boxes.append((h, divs, idx, ms))
+                masks.append(mask)
+    classes: dict[int, list[int]] = {}
+    for a, mask in enumerate(masks):
+        classes.setdefault(mask, []).append(a)
+    partners = {
+        mask: sorted(
+            itertools.chain.from_iterable(
+                ixs for other, ixs in classes.items() if mask | other == full
+            )
+        )
+        for mask in classes
+    }
+    if not any(partners.values()):
+        return []
+    built: dict[int, BurnsideElement] = {}
+
+    def element(a: int) -> BurnsideElement:
+        if a not in built:
+            h, divs, idx, ms = boxes[a]
+            built[a] = BurnsideElement(h, {divs[j]: m for j, m in zip(idx, ms)})
+        return built[a]
+
     found = []
-    for a, mask_a in enumerate(masks):
-        for b in range(a, len(masks)):
-            if mask_a | masks[b] == full:
-                found.append((elems[a], elems[b]))
+    for a, mask in enumerate(masks):
+        ixs = partners[mask]
+        for b in ixs[bisect_left(ixs, a):]:
+            found.append((element(a), element(b)))
     return found
 
 

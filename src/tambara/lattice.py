@@ -163,11 +163,3 @@ def s_partition(ctx: CyclicGroupCtx, c: int) -> dict[int, tuple[tuple[int, ...],
         out[j] = (tuple(members), tops[0])
     return out
 
-
-def max_chain_length(ctx: CyclicGroupCtx) -> int:
-    """Length of the longest subgroup chain e < H_1 < ... < C_n.
-
-    Each step of a maximal chain has prime index, so the length is the
-    number of prime factors of n with multiplicity.
-    """
-    return omega(ctx.n)

@@ -184,6 +184,15 @@ def test_criterion_5_primality_probing():
             assert not all(member(s, y) for s in family)
 
 
+def test_criterion_5_primality_probing_at_n_60():
+    with criterion(5, "primality probe of every point at n=60, bound 2", 60.0):
+        points = enumerate_spectrum(CyclicGroupCtx(60), default_primes(60)).points
+        assert len(points) == 40
+        for spec in points:
+            found = primality_probe(spec, bound=2, max_support=2)
+            assert found == [], f"unexpected counterexample for {spec.label}: {found[:1]}"
+
+
 def test_criterion_6_containment_cross_validation():
     with criterion(6, "symbolic containment equals semantic containment", 120.0):
         for n in (4, 6, 8, 12, 18, 30):

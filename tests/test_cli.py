@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tambara.burnside import BurnsideElement
+from tambara.burnside import BurnsideElement, element_from_json
 from tambara.cli import integer, parse_element, parse_spec, run
 from tambara.maps import norm
 
@@ -112,6 +112,28 @@ def test_map_commands(capsys):
         '{"level":1,"coeffs":{"1":2}}',
     )
     assert json.loads(out) == {"level": 2, "coeffs": {"1": 1, "2": 2}}
+
+
+def test_norm_beyond_the_int_to_str_digit_limit_prints(capsys):
+    # coefficients of about 9,600 digits, over the interpreter's default
+    # 4,300-digit limit; the limit is lifted for the output only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = invoke(
+        capsys, "map", "--op", "norm", "--from", "1", "--to", "20160",
+        "--element", '{"level":1,"coeffs":{"1":3}}',
+    )
+    assert code == 0, err
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        x = element_from_json(json.loads(out))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert x.level == 20160
+    for i in (1, 7, 96, 20160):
+        assert x.mark(i) == 3 ** (20160 // i)
 
 
 def test_map_level_mismatch_is_domain_error(capsys):

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -7,7 +8,6 @@ from tambara.ideals import (
     IdealSpec,
     LevelLattice,
     box_elements,
-    decompose_by_c,
     kernel_lattice,
     level_generators,
     member,
@@ -17,8 +17,9 @@ from tambara.ideals import (
     ring_ideal_lattice,
     tambara_generator_check,
 )
-from tambara.lattice import divisors
+from tambara.lattice import CyclicGroupCtx, divisors
 from tambara.maps import norm, restrict, transfer
+from tambara.spectrum import default_primes, enumerate_spectrum
 
 
 def B(level, coeffs):
@@ -75,19 +76,6 @@ def test_psi_examples():
         c = rng.choice(divisors(n))
         z = random_element(rng, n)
         assert sum(psi(z, c, j) for j in divisors(c)) == z.mark(1)
-
-
-def test_decompose_by_c_examples():
-    x = T(12, 4) - 3 * BurnsideElement.unit(12)
-    parts = decompose_by_c(x, 2)
-    assert parts[2] == x and not parts[1]
-    y = random_element(random.Random(3), 12)
-    parts = decompose_by_c(y, 12)
-    assert parts == {j: B(12, {j: y.coeffs[j]} if j in y.coeffs else {}) for j in divisors(12)}
-    total = BurnsideElement.zero(12)
-    for part in decompose_by_c(y, 6).values():
-        total = total + part
-    assert total == y
 
 
 def test_level_generators_example_c2_zero():
@@ -320,6 +308,74 @@ def test_probe_matches_q_check_loop(family):
         (a, b) for i, a in enumerate(elems) for b in elems[i:] if q_check(family, a, b).holds
     ]
     assert primality_probe(family, bound=1, max_support=2) == expected
+
+
+def _oracle_mask(e, slots):
+    # bit per slot (i, p): the marks of e at every j | gcd(i, level) vanish mod p
+    mask = 0
+    for bit, (i, p) in enumerate(slots):
+        if all(e.mark_mod(j, p) == 0 for j in divisors(gcd(i, e.level))):
+            mask |= 1 << bit
+    return mask
+
+
+def _probe_oracle(specs, n, bound, max_support):
+    # the element-by-element route: a mark_mod mask per box element and a
+    # quadratic loop over the pairs of non-members, in box order
+    slots = list({(i, s.p) for s in specs for i in divisors(s.c)})
+    full = (1 << len(slots)) - 1
+    elems, masks = [], []
+    for h in divisors(n):
+        for e in box_elements(h, bound, max_support):
+            if not all(member(s, e) for s in specs):
+                elems.append(e)
+                masks.append(_oracle_mask(e, slots))
+    return [
+        (elems[a], elems[b])
+        for a in range(len(masks))
+        for b in range(a, len(masks))
+        if masks[a] | masks[b] == full
+    ]
+
+
+def _canonical_points(n):
+    return enumerate_spectrum(CyclicGroupCtx(n), default_primes(n)).points
+
+
+ORACLE_CASES = [
+    ([spec], bound, 2) for n in (4, 6, 8, 12) for spec in _canonical_points(n) for bound in (1, 2)
+] + [
+    ([IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)], 3, 2),  # 75,168 pairs
+    ([IdealSpec(6, 2, 2), IdealSpec(6, 3, 3)], 2, 2),
+    ([IdealSpec(12, 2, 2), IdealSpec(12, 3, 3), IdealSpec(12, 4, 5)], 2, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "specs, bound, max_support",
+    ORACLE_CASES,
+    ids=lambda v: "&".join(f"{s.n},{s.c},{s.p}" for s in v) if isinstance(v, list) else str(v),
+)
+def test_probe_matches_element_by_element_oracle(specs, bound, max_support):
+    family = specs if len(specs) > 1 else specs[0]
+    expected = _probe_oracle(specs, specs[0].n, bound, max_support)
+    assert primality_probe(family, bound=bound, max_support=max_support) == expected
+    if len(specs) > 1:
+        assert expected  # the families are not prime, so the comparison is not vacuous
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_single_spec_non_members_miss_the_top_slot(n):
+    # the probe's lemma: an element covers (c, p) iff it is a member, so
+    # no pair of non-members covers every slot of a single spec
+    for spec in _canonical_points(n):
+        slots = [(i, spec.p) for i in divisors(spec.c)]
+        top = 1 << slots.index((spec.c, spec.p))
+        non_members = [
+            e for h in divisors(n) for e in box_elements(h, 1, 2) if not member(spec, e)
+        ]
+        assert non_members, spec.label
+        assert all(not _oracle_mask(e, slots) & top for e in non_members), spec.label
 
 
 def test_tambara_generator_check_examples():

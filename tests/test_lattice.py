@@ -5,7 +5,6 @@ from tambara.lattice import (
     check_prime_or_zero,
     divisors,
     is_prime,
-    max_chain_length,
     moebius,
     mu,
     o_p,
@@ -121,12 +120,6 @@ def test_s_partition_matches_gcd_bruteforce_and_partitions():
             assert sorted(seen) == divisors(n)
 
 
-def test_max_chain_length_examples():
-    assert max_chain_length(CyclicGroupCtx(12)) == 3
-    assert max_chain_length(CyclicGroupCtx(1)) == 0
-    assert max_chain_length(CyclicGroupCtx(8)) == 3
-
-
 def _longest_prime_ratio_path(n):
     # independent oracle: longest path in the divisor DAG whose edges are
     # prime-index steps
@@ -140,13 +133,15 @@ def _longest_prime_ratio_path(n):
     return best[n]
 
 
-def test_max_chain_length_matches_path_oracle():
+def test_omega_is_the_longest_chain_length():
+    # the longest subgroup chain e < H_1 < ... < C_n has omega(n) steps
     for n in range(1, 150):
-        assert max_chain_length(CyclicGroupCtx(n)) == _longest_prime_ratio_path(n)
+        assert omega(n) == _longest_prime_ratio_path(n)
 
 
 def test_omega():
     assert omega(1) == 0
+    assert omega(8) == 3
     assert omega(12) == 3
     assert omega(30) == 3
     assert omega(32) == 5

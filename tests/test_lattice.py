@@ -133,6 +133,13 @@ def _longest_prime_ratio_path(n):
     return best[n]
 
 
+def test_max_chain_length_examples():
+    # longest subgroup chain e < H_1 < ... < C_n, for the worked examples
+    for n, length in ((12, 3), (1, 0), (8, 3)):
+        assert omega(n) == length
+        assert _longest_prime_ratio_path(n) == length
+
+
 def test_omega_is_the_longest_chain_length():
     # the longest subgroup chain e < H_1 < ... < C_n has omega(n) steps
     for n in range(1, 150):
@@ -141,7 +148,6 @@ def test_omega_is_the_longest_chain_length():
 
 def test_omega():
     assert omega(1) == 0
-    assert omega(8) == 3
     assert omega(12) == 3
     assert omega(30) == 3
     assert omega(32) == 5

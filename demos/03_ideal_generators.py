@@ -20,7 +20,6 @@ from tambara import (
     psi,
     ring_ideal_lattice,
     s_partition,
-    CyclicGroupCtx,
 )
 
 n = 12
@@ -29,7 +28,7 @@ print(f"Ideal {spec.label} inside the functor over C_{n}")
 
 print()
 print("The S_J partition of subgroups of C_12 by intersection with C_2:")
-for j, (members, mj) in s_partition(CyclicGroupCtx(n), 2).items():
+for j, (members, mj) in s_partition(n, 2).items():
     print(f"  J = C_{j}: cell {members}, maximal member C_{mj}")
 
 print()

@@ -27,7 +27,6 @@ from .burnside import (
     unghost,
 )
 from .gsets import (
-    BudgetExceeded,
     NegativeCoefficient,
     decompose,
     fixed_points,
@@ -42,7 +41,7 @@ from .ideals import (
     member,
     primality_probe,
 )
-from .lattice import CyclicGroupCtx, InvariantError, divisors, require_divides
+from .lattice import BudgetExceeded, CyclicGroupCtx, InvariantError, divisors, require_divides
 from .maps import norm, restrict, transfer
 from .spectrum import (
     contains,
@@ -212,10 +211,10 @@ def cmd_probe(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    ctx = CyclicGroupCtx(args.n)
+    levels = divisors(args.n)
     cases = 0
     if args.check == "marks":
-        for h in ctx.divisors:
+        for h in levels:
             for x in box_elements(h, 2, 2):
                 if any(m < 0 for m in x.coeffs.values()):
                     continue
@@ -225,7 +224,7 @@ def cmd_oracle(args) -> int:
                         raise InvariantError(f"mark mismatch at {x}, C_{i}")
                     cases += 1
     elif args.check == "transfers":
-        for h in ctx.divisors:
+        for h in levels:
             for k in divisors(h):
                 for x in box_elements(k, 2, 2):
                     if any(m < 0 for m in x.coeffs.values()):
@@ -234,7 +233,7 @@ def cmd_oracle(args) -> int:
                         raise InvariantError(f"transfer mismatch at {x} -> C_{h}")
                     cases += 1
     else:
-        for h in ctx.divisors:
+        for h in levels:
             for k in divisors(h):
                 for x in box_elements(k, 2, 1):
                     if any(m < 0 for m in x.coeffs.values()) or x.size() > 4:

@@ -12,15 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsideElement
-from .lattice import InvariantError, require_divides
+from .lattice import BudgetExceeded, InvariantError, require_divides
 
 
 class NegativeCoefficient(ValueError):
     """Only genuine G-sets (non-negative multiplicities) can be realized."""
-
-
-class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed the configured cap."""
 
 
 DEFAULT_MAP_BUDGET = 10**6

@@ -21,15 +21,12 @@ from functools import lru_cache
 from math import gcd
 from operator import not_
 
-from .burnside import BurnsideElement, from_t, from_vector, mark_table, to_vector
+from .burnside import BurnsideElement, from_vector, mark_table, to_vector
 from .intlattice import hnf, in_row_span, is_sublattice, preimage_mod
 from .lattice import (
-    CyclicGroupCtx,
     InvariantError,
     check_prime_or_zero,
     divisors,
-    p_part,
-    prime_factors,
     require_divides,
     s_partition,
 )
@@ -94,7 +91,7 @@ def level_generators(spec: IdealSpec, h: int) -> list[BurnsideElement]:
             for k in divisors(h)
             if (h // k) % p == 0
         )
-    parts = s_partition(CyclicGroupCtx(h), cp)
+    parts = s_partition(h, cp)
     for j in divisors(cp):
         members, mj = parts[j]
         for k in members:
@@ -185,8 +182,6 @@ def ring_ideal_lattice(h: int, gens) -> LevelLattice:
             raise ValueError(f"generator level {g.level} differs from {h}")
         for k in divisors(h):
             rows.append(to_vector(g * BurnsideElement.transitive(h, k)))
-    if not rows:
-        rows = [[0] * len(divisors(h))]
     return LevelLattice.from_rows(h, rows)
 
 
@@ -381,31 +376,3 @@ def primality_probe(
         for b in ixs[bisect_left(ixs, a):]:
             found.append((element(a), element(b)))
     return found
-
-
-def tambara_generator_check(spec: IdealSpec) -> bool:
-    """Membership checks behind the Tambara-theoretic generator theorems.
-
-    For prime p: p times the unit lies in the ideal at every level
-    (once it does at the trivial level), and so does every orbit whose
-    index is divisible by p.  For every prime q | n whose q-part of c is
-    not yet the full q-part of n, t_q - q lies in the ideal one q-step
-    above the q-part of c.  For p = 0 only the t_q - q clause applies.
-    """
-    n, c, p = spec.n, spec.c, spec.p
-    ok = True
-    if p:
-        if member(spec, p * BurnsideElement.unit(1)):
-            ok = ok and all(
-                member(spec, p * BurnsideElement.unit(h)) for h in divisors(n)
-            )
-        for h in divisors(n):
-            for k in divisors(h):
-                if (h // k) % p == 0:
-                    ok = ok and member(spec, BurnsideElement.transitive(h, k))
-    for q in prime_factors(n):
-        cq = p_part(c, q)
-        if cq != p_part(n, q):
-            hplus = q * cq
-            ok = ok and member(spec, from_t(hplus, q) - q * BurnsideElement.unit(hplus))
-    return ok

@@ -89,8 +89,6 @@ def kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     if leads >= set(range(ncols)):
         return []
     nconds = len(rows)
-    if nconds == 0:
-        return hnf([[int(i == j) for j in range(ncols)] for i in range(ncols)])
     # Row-reduce [A^T | I]; rows whose A^T block vanishes record the
     # unimodular combinations of coordinates killing every condition.
     aug = [

@@ -4,12 +4,13 @@ Subgroups of the cyclic group C_n correspond to divisors of n: C_d is the
 unique subgroup of order d, and C_j <= C_d exactly when j | d.  Throughout
 the package a subgroup is therefore a plain (validated) int, and lattice
 operations reduce to gcd, lcm, and the number-theoretic Moebius function
-on index ratios.
+on index ratios.  Divisors and primality are read off one cached
+factorization per integer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -18,20 +19,26 @@ class InvariantError(AssertionError):
     """An internal invariant failed: a bug in the package, not bad input."""
 
 
+class BudgetExceeded(RuntimeError):
+    """A computation would exceed its a-priori cap."""
+
+
+TRIAL_DIVISION_LIMIT = 10**6
+_DIVISORS: dict[int, tuple[int, ...]] = {}
+
+
 def divisors(n: int) -> list[int]:
-    """All divisors of n, ascending."""
-    if n < 1:
-        raise ValueError(f"group order must be a positive integer, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
+    """All divisors of n, ascending: built once per n from its
+    factorization, returned as a fresh list."""
+    divs = _DIVISORS.get(n)
+    if divs is None:
+        if n < 1:
+            raise ValueError(f"group order must be a positive integer, got {n}")
+        out = [1]
+        for p, e in factorize(n):
+            out = [d * p**k for d in out for k in range(e + 1)]
+        divs = _DIVISORS[n] = tuple(sorted(out))
+    return list(divs)
 
 
 def require_divides(a: int, b: int, what: str = "subgroup") -> None:
@@ -39,16 +46,10 @@ def require_divides(a: int, b: int, what: str = "subgroup") -> None:
         raise ValueError(f"{what}: {a} is not a divisor of {b}")
 
 
+@lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
-    """Primality by trial division; inputs here are desk-scale."""
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Is p a prime, i.e. p >= 2 and its factorization is p itself?"""
+    return p >= 2 and factorize(p) == ((p, 1),)
 
 
 def check_prime_or_zero(p: int) -> int:
@@ -60,12 +61,22 @@ def check_prime_or_zero(p: int) -> int:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, exponent), ...), p ascending."""
+    """Prime factorization of n >= 1 as ((p, exponent), ...), p ascending.
+
+    The package's one trial-division loop.  Trial divisors stop at
+    TRIAL_DIVISION_LIMIT, so every n below its square factors, and a
+    larger cofactor without a small factor raises BudgetExceeded.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out = []
     d = 2
     while d * d <= n:
+        if d > TRIAL_DIVISION_LIMIT:
+            raise BudgetExceeded(
+                f"factorizing needs trial divisors past {TRIAL_DIVISION_LIMIT} "
+                f"for a {n.bit_length()}-bit cofactor"
+            )
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -132,16 +143,15 @@ def o_p(d: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class CyclicGroupCtx:
-    """The ambient group C_n, seen as its divisor lattice."""
+    """The ambient group C_n, with n validated as a group order."""
 
     n: int
-    divisors: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "divisors", tuple(divisors(self.n)))
+        divisors(self.n)  # raises unless n is a positive integer
 
 
-def s_partition(ctx: CyclicGroupCtx, c: int) -> dict[int, tuple[tuple[int, ...], int]]:
+def s_partition(n: int, c: int) -> dict[int, tuple[tuple[int, ...], int]]:
     """Partition subgroups of C_n by their intersection with C_c.
 
     Returns {j: (members, m_j)} for each j | c, where members are the
@@ -149,17 +159,16 @@ def s_partition(ctx: CyclicGroupCtx, c: int) -> dict[int, tuple[tuple[int, ...],
     divisibility-maximal member.  Uniqueness holds for cyclic groups; it
     is asserted, not assumed.
     """
-    require_divides(c, ctx.n)
+    require_divides(c, n)
     cells: dict[int, list[int]] = {j: [] for j in divisors(c)}
-    for d in ctx.divisors:
+    for d in divisors(n):
         cells[gcd(d, c)].append(d)
     out = {}
     for j, members in cells.items():
         tops = [m for m in members if all(m % d == 0 for d in members)]
         if len(tops) != 1:
             raise InvariantError(
-                f"S_{j} in C_{ctx.n} lacks a unique divisibility-maximum: {members}"
+                f"S_{j} in C_{n} lacks a unique divisibility-maximum: {members}"
             )
         out[j] = (tuple(members), tops[0])
     return out
-

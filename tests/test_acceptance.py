@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from tambara.burnside import BurnsideElement, ghost, unghost
+from tambara.burnside import BurnsideElement, from_t, ghost, unghost
 from tambara.cli import run
 from tambara.gsets import map_set, realize, decompose
 from tambara.ideals import (
@@ -20,9 +20,8 @@ from tambara.ideals import (
     member,
     primality_probe,
     ring_ideal_lattice,
-    tambara_generator_check,
 )
-from tambara.lattice import CyclicGroupCtx, divisors, omega
+from tambara.lattice import CyclicGroupCtx, divisors, omega, p_part, prime_factors
 from tambara.maps import ghost_res, ghost_tr, norm, norm_ghost, restrict, transfer
 from tambara.spectrum import (
     contains,
@@ -234,15 +233,20 @@ def test_criterion_7_krull_comparison():
 def test_criterion_8_tambara_generator_lemmas():
     with criterion(8, "Tambara generator membership lemmas", 30.0):
         for n in (4, 6, 8, 12):
-            ctx = CyclicGroupCtx(n)
-            poset = enumerate_spectrum(ctx, default_primes(n))
-            for spec in poset.points:
-                assert tambara_generator_check(spec), spec.label
-            # exhaustive membership behind the two generator theorems, for
-            # every ideal over a prime p:
-            for p in [q for q in default_primes(n) if q]:
+            for p in default_primes(n):
                 for c in divisors(n):
                     spec = IdealSpec(n, c, p)
+                    # t_q - q one q-step above the q-part of c, for every
+                    # prime q | n whose q-part of c is not all of n's
+                    for q in prime_factors(n):
+                        if p_part(c, q) != p_part(n, q):
+                            h = q * p_part(c, q)
+                            t_q = from_t(h, q) - q * BurnsideElement.unit(h)
+                            assert member(spec, t_q), (spec.label, q)
+                    if not p:
+                        continue
+                    # exhaustive membership behind the two generator
+                    # theorems, for every ideal over a prime p
                     assert member(spec, p * BurnsideElement.unit(1))
                     for h in divisors(n):
                         assert member(spec, p * BurnsideElement.unit(h))

@@ -288,6 +288,13 @@ def test_domain_errors_exit_1_with_json(capsys):
     assert payload["error"] == "ValueError" and "positive" in payload["message"]
 
 
+def test_group_order_past_the_trial_division_limit_exits_1(capsys, low_trial_limit):
+    code, out, err = invoke(capsys, "spectrum", "-n", "1000003")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BudgetExceeded" and str(low_trial_limit) in payload["message"]
+
+
 def test_broken_invariant_exits_3(capsys, monkeypatch):
     # a wrong norm formula must surface as a broken invariant, not bad input
     monkeypatch.setattr(

@@ -12,6 +12,7 @@ from tambara.gsets import (
     product,
     realize,
 )
+from tambara.ideals import box_elements
 from tambara.lattice import divisors
 from tambara.maps import norm, transfer
 
@@ -96,6 +97,17 @@ def test_product_examples():
     assert decompose(product(s, s)) == BurnsideElement(2, {1: 2})
     with pytest.raises(ValueError):
         product(s, ConcreteGSet(4, (0,)))
+
+
+@pytest.mark.parametrize("n, bound", [(12, 2), (30, 1)])
+def test_product_is_the_oracle_for_multiplication(n, bound):
+    # the Burnside product is the class of the cartesian product of G-sets
+    for h in divisors(n):
+        xs = [x for x in box_elements(h, bound) if min(x.coeffs.values(), default=1) > 0]
+        sets = [realize(x) for x in xs]
+        for x, sx in zip(xs, sets):
+            for y, sy in zip(xs, sets):
+                assert decompose(product(sx, sy)) == x * y, (x, y)
 
 
 def test_map_set_examples():

@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import pytest
 
 from tambara.lattice import (
+    BudgetExceeded,
     CyclicGroupCtx,
     check_prime_or_zero,
     divisors,
+    factorize,
     is_prime,
     moebius,
     mu,
@@ -47,6 +51,27 @@ def test_moebius_poset_recursion():
             assert total == (1 if j == k else 0)
 
 
+def test_divisors_returns_a_fresh_list():
+    ds = divisors(12)
+    ds.append(99)
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(12) is not divisors(12)
+
+
+def test_trial_division_stops_at_its_limit(low_trial_limit):
+    # 1000003 is prime, so no trial divisor up to its square root divides it
+    for f in (factorize, is_prime, divisors):
+        with pytest.raises(BudgetExceeded):
+            f(1_000_003)
+    with pytest.raises(BudgetExceeded):
+        factorize(101 * 103)
+    # every n below the square of the limit factors, and so do smooth inputs
+    assert factorize(97 * 97) == ((97, 2),)
+    assert factorize(2**200 * 3) == ((2, 200), (3, 1))
+    assert is_prime(97) and not is_prime(91)
+    assert divisors(97 * 89) == [1, 89, 97, 97 * 89]
+
+
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -81,26 +106,26 @@ def test_o_p_idempotent():
 
 def test_ctx_invariants():
     ctx = CyclicGroupCtx(12)
-    assert ctx.divisors[0] == 1 and ctx.divisors[-1] == 12
-    assert list(ctx.divisors) == divisors(12)
+    assert ctx.n == 12
+    assert [f.name for f in fields(ctx)] == ["n"]
     with pytest.raises(ValueError):
         CyclicGroupCtx(0)
 
 
 def test_s_partition_example_n12_c2():
-    parts = s_partition(CyclicGroupCtx(12), 2)
+    parts = s_partition(12, 2)
     assert parts[1] == ((1, 3), 3)
     assert parts[2] == ((2, 4, 6, 12), 12)
 
 
 def test_s_partition_c_equals_n():
-    parts = s_partition(CyclicGroupCtx(12), 12)
+    parts = s_partition(12, 12)
     for j in divisors(12):
         assert parts[j] == ((j,), j)
 
 
 def test_s_partition_trivial_c():
-    parts = s_partition(CyclicGroupCtx(6), 1)
+    parts = s_partition(6, 1)
     assert parts[1] == ((1, 2, 3, 6), 6)
 
 
@@ -108,9 +133,8 @@ def test_s_partition_matches_gcd_bruteforce_and_partitions():
     from math import gcd
 
     for n in (4, 6, 8, 12, 18, 30, 36):
-        ctx = CyclicGroupCtx(n)
         for c in divisors(n):
-            parts = s_partition(ctx, c)
+            parts = s_partition(n, c)
             seen = []
             for j, (members, mj) in parts.items():
                 assert members == tuple(d for d in divisors(n) if gcd(d, c) == j)

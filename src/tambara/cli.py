@@ -5,7 +5,9 @@ probe, oracle, dress.  Elements are passed as JSON
 ({"level": h, "coeffs": {"k": m}}) or as the shorthand t<m>@<h> for the
 transitive set of order m at level h.  Exit codes: 0 success, 1 domain
 error, 2 usage error, 3 broken internal invariant (InvariantError); codes
-1 and 3 write a JSON {"error", "message"} object on stderr.
+1 and 3 write a JSON {"error", "message"} object on stderr.  ``run`` may
+be called repeatedly in one process: the argument parser is built once,
+on first use, and reused by every later call.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .burnside import (
     BurnsideElement,
@@ -267,7 +270,10 @@ def cmd_dress(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built once per process and
+    shared by every caller, so it must not be modified."""
     parser = argparse.ArgumentParser(
         prog="tambara",
         description="Burnside Tambara functor of a cyclic group: structure "
@@ -338,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Entry point returning the exit code; stdout/stderr carry the output."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

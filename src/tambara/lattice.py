@@ -29,7 +29,11 @@ _DIVISORS: dict[int, tuple[int, ...]] = {}
 
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending: built once per n from its
-    factorization, returned as a fresh list."""
+    factorization, returned as a fresh list.  An n that is not exactly an
+    int raises TypeError before the cache is read, so 12.0 and True never
+    hit the entries of 12 and 1."""
+    if type(n) is not int:
+        raise TypeError(f"group order must be an int, got {n!r}")
     divs = _DIVISORS.get(n)
     if divs is None:
         if n < 1:

@@ -1,13 +1,16 @@
 """The prime spectrum of the Burnside functor of C_n over a prime set.
 
 Containment between the ideals (C_i, p) and (C_j, q) is decided by a
-closed decision table (divisibility of p-free parts); the same question
-is also decided semantically, by comparing the exact kernel lattices at
-every level, and the two routes are cross-validated in the test suite.
-Equal ideals are merged into canonical points (the p-free representative
-of each class) before the containment matrix is built, so the relation
-is a partial order.  Dress's spectrum of the Burnside ring has the same
-points with a different containment and is built as the same poset type.
+closed decision table (divisibility of q-residual parts); the same
+question is also decided semantically, by comparing the exact kernel
+lattices at every level, and the two routes are cross-validated in the
+test suite.  Equal ideals are merged into canonical points (the p-free
+representative of each class) before the containment matrix is built, so
+the relation is a partial order.  Dress's spectrum of the Burnside ring
+has the same points with a different containment and is built as the same
+poset type.  Both containments compare one residual key per point and
+prime, so the matrix is built from O(N * |primes|) keys with one int
+comparison per pair.
 Exports: Graphviz DOT of the Hasse diagram and a JSON round-trip encoding.
 """
 
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from operator import mod, sub
 
 from .ideals import IdealSpec, kernel_lattice
 from .lattice import (
@@ -29,6 +33,19 @@ from .lattice import (
 )
 
 
+def _residual(c: int, q: int) -> int:
+    """The key of C_c under the prime q of the containing point: o_q(c),
+    or c itself when q = 0."""
+    return c if q == 0 else o_p(c, q)
+
+
+def _contained(gap, pa: int, ca: int, pb: int, cb: int) -> bool:
+    """Is the point (C_ca, pa) inside the point (C_cb, pb)?  Exactly when
+    pa is 0 or pb and ``gap`` of the two pb-residual keys is 0: ``mod``
+    for divisibility (the Tambara spectrum), ``sub`` for equality (Dress)."""
+    return pa in (0, pb) and not gap(_residual(ca, pb), _residual(cb, pb))
+
+
 def contains(a: IdealSpec, b: IdealSpec) -> bool:
     """Symbolic containment: is the ideal a inside the ideal b?
 
@@ -40,11 +57,7 @@ def contains(a: IdealSpec, b: IdealSpec) -> bool:
     """
     if a.n != b.n:
         raise ValueError(f"mismatched ambient groups C_{a.n} vs C_{b.n}")
-    if b.p == 0:
-        return a.p == 0 and a.c % b.c == 0
-    if a.p not in (0, b.p):
-        return False
-    return o_p(a.c, b.p) % o_p(b.c, b.p) == 0
+    return _contained(mod, a.p, a.c, b.p, b.c)
 
 
 def contains_semantic(a: IdealSpec, b: IdealSpec) -> bool:
@@ -74,11 +87,10 @@ def _canonical_classes(n: int, p: int) -> list[tuple[int, tuple[int, ...]]]:
     """Canonical representative and merged class members for one p-layer."""
     if p == 0 or n % p != 0:
         return [(d, (d,)) for d in divisors(n)]
-    reps = divisors(o_p(n, p))
-    return [
-        (r, tuple(d for d in divisors(n) if o_p(d, p) == r))
-        for r in reps
-    ]
+    classes: dict[int, list[int]] = {}
+    for d in divisors(n):
+        classes.setdefault(o_p(d, p), []).append(d)
+    return sorted((r, tuple(members)) for r, members in classes.items())
 
 
 @dataclass(frozen=True)
@@ -97,23 +109,31 @@ class SpectrumPoset:
     relation: tuple[tuple[bool, ...], ...]
 
 
-def _build_poset(n: int, primes, point, contains_fn) -> SpectrumPoset:
+def _build_poset(n: int, primes, point, gap) -> SpectrumPoset:
     """One point ``point(rep, p)`` per equality class over the prime set,
-    sorted by (rep, p), and the matrix of ``contains_fn`` over all pairs.
+    sorted by (rep, p), and the containment matrix ``_contained(gap, ...)``
+    over all pairs, read off one residual key per point and prime.
 
     For p = 0 or p not dividing n every divisor is its own class; for
     p | n classes are keyed by the p-free part, represented by the p-free
-    divisor itself.  The relation is checked to be antisymmetric.
+    divisor itself.  A prime that is not exactly an int is rejected, not
+    coerced.  The relation is checked to be antisymmetric.
     """
     if not primes:
         raise ValueError("the prime set must be non-empty")
-    ps = sorted({check_prime_or_zero(int(p)) for p in primes})
+    for p in primes:
+        if type(p) is not int:
+            raise ValueError(f"primes must be ints, got {p!r}")
+    ps = sorted({check_prime_or_zero(p) for p in primes})
     classes = sorted(
         (rep, p, merged) for p in ps for rep, merged in _canonical_classes(n, p)
     )
     points = tuple(point(rep, p) for rep, p, _ in classes)
+    keys = [{q: _residual(rep, q) for q in ps} for rep, _, _ in classes]
+    columns = [(p, key[p]) for (_, p, _), key in zip(classes, keys)]
     relation = tuple(
-        tuple(contains_fn(a, b) for b in points) for a in points
+        tuple([(pa == 0 or pa == pb) and not gap(ka[pb], kb) for pb, kb in columns])
+        for (_, pa, _), ka in zip(classes, keys)
     )
     for i, row in enumerate(relation):
         column = (other[i] for other in relation[i + 1:])
@@ -129,7 +149,7 @@ def _build_poset(n: int, primes, point, contains_fn) -> SpectrumPoset:
 
 def enumerate_spectrum(ctx: CyclicGroupCtx, primes) -> SpectrumPoset:
     """All ideals (C_c, p) over the prime set, one point per equality class."""
-    return _build_poset(ctx.n, primes, partial(IdealSpec, ctx.n), contains)
+    return _build_poset(ctx.n, primes, partial(IdealSpec, ctx.n), mod)
 
 
 def krull_dimension(poset) -> int:
@@ -168,17 +188,13 @@ class DressPoint:
 
 def dress_contains(a: DressPoint, b: DressPoint) -> bool:
     """Containment of mark kernels: equal classes, or zero below prime."""
-    if b.p == 0:
-        return a.p == 0 and a.d == b.d
-    if a.p == 0:
-        return o_p(a.d, b.p) == o_p(b.d, b.p)
-    return a.p == b.p and o_p(a.d, a.p) == o_p(b.d, b.p)
+    return _contained(sub, a.p, a.d, b.p, b.d)
 
 
 def dress_spectrum(ctx: CyclicGroupCtx, primes) -> SpectrumPoset:
     """Spec of the Burnside ring A(C_n) over the prime set, deduplicated
     by the same p-free classes as the Tambara spectrum."""
-    return _build_poset(ctx.n, primes, DressPoint, dress_contains)
+    return _build_poset(ctx.n, primes, DressPoint, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +262,10 @@ def poset_from_json(text: str) -> SpectrumPoset:
     """Rebuild a SpectrumPoset from its JSON export, recomputed from ``n``
     and ``primes``; the listed points must be exactly the recomputed ones."""
     doc = json.loads(text)
-    n = int(doc["n"])
-    poset = _build_poset(n, doc["primes"], partial(IdealSpec, n), contains)
+    n = doc["n"]
+    if type(n) is not int:
+        raise ValueError(f"JSON 'n' must be an integer, got {n!r}")
+    poset = _build_poset(n, doc["primes"], partial(IdealSpec, n), mod)
     listed = [(pt["c"], pt["p"], pt["merged"]) for pt in doc["points"]]
     if listed != [(pt.c, pt.p, list(m)) for pt, m in zip(poset.points, poset.merged)]:
         raise ValueError("JSON points differ from the spectrum of its n and primes")

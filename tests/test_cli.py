@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tambara.burnside import BurnsideElement, element_from_json
-from tambara.cli import integer, parse_element, parse_spec, run
+from tambara.cli import build_parser, integer, parse_element, parse_spec, run
 from tambara.maps import norm
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,6 +40,20 @@ def test_spectrum_matches_golden_file(capsys):
     code, out, _ = invoke(capsys, "spectrum", "-n", "12")
     assert code == 0
     assert out == (GOLDEN / "spectrum_n12.dot").read_text()
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = invoke(capsys, "spectrum", "-n", "12", "--primes", "0,2")
+    assert code == 0 and "pq_1_3" not in out
+    assert invoke(capsys, "spectrum", "-n", "12", "--format", "svg")[0] == 2
+    code, out, _ = invoke(capsys, "spectrum", "-n", "12")
+    assert code == 0
+    assert out == (GOLDEN / "spectrum_n12.dot").read_text()
+    for argv in (["--help"], ["spectrum", "--help"]):
+        first = invoke(capsys, *argv)
+        assert first[0] == 0 and first[1].startswith("usage: tambara")
+        assert invoke(capsys, *argv) == first
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,19 @@ def test_divisors_rejects_nonpositive():
         divisors(-6)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: divisors(12.5),
+    lambda: divisors(12.0),
+    lambda: divisors(True),
+    lambda: CyclicGroupCtx(6.0),
+], ids=["12.5", "12.0", "True", "ctx-6.0"])
+def test_divisors_rejects_non_int_before_the_cache(call):
+    # with 12, 6 and 1 cached, a cache lookup alone would answer 12.0 and True
+    assert divisors(12) and divisors(6) and divisors(1)
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_divisors_are_exactly_the_divisors():
     for n in range(1, 200):
         ds = divisors(n)

@@ -122,6 +122,35 @@ def test_enumerate_rejects_bad_primes():
         enumerate_spectrum(CyclicGroupCtx(6), [4])
 
 
+@pytest.mark.parametrize(
+    "build", [enumerate_spectrum, dress_spectrum], ids=["tambara", "dress"]
+)
+@pytest.mark.parametrize(
+    "primes",
+    [bad for p in (2.9, 2.0, "2", False) for bad in ([0, p], [p, 2])],
+    ids=str,
+)
+def test_spectrum_rejects_non_int_primes(build, primes):
+    # int() would have read each of these as a valid prime set
+    with pytest.raises(ValueError):
+        build(CyclicGroupCtx(6), primes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 360, 5040, 27720])
+def test_matrix_equals_the_pairwise_relation(n):
+    # the keyed matrix against contains / dress_contains, one call per pair
+    ctx = CyclicGroupCtx(n)
+    for primes in (default_primes(n), [0, 2, 3, 5, 7, 11, 13], [0, 7]):
+        for poset, relates in (
+            (enumerate_spectrum(ctx, primes), contains),
+            (dress_spectrum(ctx, primes), dress_contains),
+        ):
+            pairwise = tuple(
+                tuple(relates(a, b) for b in poset.points) for a in poset.points
+            )
+            assert poset.relation == pairwise, (n, primes, relates.__name__)
+
+
 def test_antisymmetry_of_canonical_points():
     for n in (4, 6, 8, 12, 18, 30):
         poset = enumerate_spectrum(CyclicGroupCtx(n), [0, 2, 3, 5, 7])
@@ -215,6 +244,26 @@ def test_export_json_roundtrip():
 def test_poset_from_json_rejects_points_not_in_the_spectrum():
     doc = json.loads(export_json(enumerate_spectrum(CyclicGroupCtx(12), [0, 2])))
     del doc["points"][0]
+    with pytest.raises(ValueError):
+        poset_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "n, edit",
+    [
+        (6, {"n": 6.0}),
+        (6, {"n": "6"}),
+        (1, {"n": True}),
+        (6, {"primes": [0, 2.0]}),
+        (6, {"primes": ["0", "2"]}),
+        (6, {"primes": [False, 2]}),
+    ],
+    ids=str,
+)
+def test_poset_from_json_rejects_non_int_n_and_primes(n, edit):
+    # each edited export of C_n over [0, 2] reads as the unedited one under int()
+    doc = json.loads(export_json(enumerate_spectrum(CyclicGroupCtx(n), [0, 2])))
+    doc.update(edit)
     with pytest.raises(ValueError):
         poset_from_json(json.dumps(doc))
 

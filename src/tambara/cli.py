@@ -125,7 +125,7 @@ def cmd_spectrum(args) -> int:
     else:
         _print_table(f"Spec of the Burnside functor of C_{poset.n}", poset)
         print("Hasse edges (a -> b means a contained in b):")
-        for i, j in sorted(hasse_edges(poset)):
+        for i, j in hasse_edges(poset):
             print(f"  {poset.points[i].label} -> {poset.points[j].label}")
     return 0
 

@@ -18,12 +18,13 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from operator import not_
 
 from .burnside import BurnsideElement, from_vector, mark_table, to_vector
 from .intlattice import hnf, in_row_span, is_sublattice, preimage_mod
 from .lattice import (
+    BudgetExceeded,
     InvariantError,
     check_prime_or_zero,
     divisors,
@@ -31,6 +32,11 @@ from .lattice import (
     s_partition,
 )
 from .maps import norm, restrict
+
+# The most elements one level's probe box may hold.  The largest box in
+# the tests, demos and benchmark has 1,105 (12 orbits, bound 2, support
+# 2); the probe takes about 5 us an element, half a second at this cap.
+BOX_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -253,11 +259,26 @@ def q_check(family, a: BurnsideElement, b: BurnsideElement, n: int | None = None
     return QReport(True)
 
 
+def _check_box(d: int, bound: int, max_support: int) -> None:
+    """Check a box over d orbits before any element is made: a negative
+    bound or support raises ValueError, and a box of more than BOX_LIMIT
+    elements, counted as the sum over s <= max_support of
+    C(d, s) * (2 * bound)**s, raises BudgetExceeded.  The count grows with
+    d, so checking the top level of a probe checks every level."""
+    if bound < 0 or max_support < 0:
+        raise ValueError(f"box bound and support must be >= 0, got {bound} and {max_support}")
+    count = sum(comb(d, s) * (2 * bound) ** s for s in range(min(max_support, d) + 1))
+    if count > BOX_LIMIT:
+        raise BudgetExceeded(
+            f"a box of {count} elements over {d} orbits exceeds BOX_LIMIT = {BOX_LIMIT}"
+        )
+
+
 def _box(d: int, bound: int, max_support: int):
     """The box over d orbits in its one enumeration order, as pairs
     (orbit indices, coefficients): the zero element first, then by support
     size, orbit index tuple and coefficient tuple."""
-    vals = [v for v in range(-bound, bound + 1) if v]
+    vals = [v for v in range(-bound, bound + 1) if v] if max_support else []
     yield (), ()
     for size in range(1, max_support + 1):
         for idx in itertools.combinations(range(d), size):
@@ -267,8 +288,10 @@ def _box(d: int, bound: int, max_support: int):
 
 def box_elements(level: int, bound: int, max_support: int = 2) -> list[BurnsideElement]:
     """All elements at the level with at most ``max_support`` nonzero
-    coefficients, each in [-bound, bound]."""
+    coefficients, each in [-bound, bound]; the box is checked first by
+    ``_check_box``."""
     divs = divisors(level)
+    _check_box(len(divs), bound, max_support)
     return [
         BurnsideElement(level, {divs[j]: m for j, m in zip(idx, ms)})
         for idx, ms in _box(len(divs), bound, max_support)
@@ -288,7 +311,8 @@ def primality_probe(
     level in ``box_elements`` order, and returns every pair (a, b) with a
     not after b for which Q holds although neither element is a member.
     An empty result means no falsification at this scale, never a proof
-    of primality.
+    of primality.  The top level's box is checked by ``_check_box`` before
+    any level is enumerated.
 
     Q is decided without computing a norm.  Q(a, b) asks that the mark at
     C_i of N_K^L res_K a * N_K'^L res_K' b vanish mod p for every spec
@@ -318,6 +342,7 @@ def primality_probe(
     the result is [] before any pair is formed.
     """
     n, specs = _family(family, n)
+    _check_box(len(divisors(n)), bound, max_support)
     slots = sorted({(i, s.p) for s in specs for i in divisors(s.c)})
     full = (1 << len(slots)) - 1
     top = sum(1 << slots.index((s.c, s.p)) for s in specs)
@@ -332,9 +357,10 @@ def primality_probe(
             for bit, (i, p) in enumerate(slots)
         ]
         # column j of the table times m: the marks of m * C_h/C_{divs[j]}
+        # (none at support 0, whose box is the zero element whatever the bound)
         scaled = [
             {m: [m * row[j] for row in table] for m in range(-bound, bound + 1)}
-            for j in range(len(divs))
+            for j in range(len(divs) if max_support else 0)
         ]
         origin = [0] * len(divs)
         bits = [1 << t for t in range(len(divs))]

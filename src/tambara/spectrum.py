@@ -5,12 +5,16 @@ closed decision table (divisibility of q-residual parts); the same
 question is also decided semantically, by comparing the exact kernel
 lattices at every level, and the two routes are cross-validated in the
 test suite.  Equal ideals are merged into canonical points (the p-free
-representative of each class) before the containment matrix is built, so
-the relation is a partial order.  Dress's spectrum of the Burnside ring
-has the same points with a different containment and is built as the same
-poset type.  Both containments compare one residual key per point and
-prime, so the matrix is built from O(N * |primes|) keys with one int
-comparison per pair.
+representative of each class), so the relation is a partial order.
+Dress's spectrum of the Burnside ring has the same points with a
+different containment and is built as the same poset type.
+
+The relation is stored as one bitmask per point.  Both containments
+compare one residual key per point and prime, so each row is an OR of
+per-layer masks, one per distinct key, and antisymmetry is the absence of
+equal keys within a layer.  The Krull dimension peels antichains of
+maximal points and the Hasse covers are the minimal points of each strict
+up-set, both on the masks.
 Exports: Graphviz DOT of the Hasse diagram and a JSON round-trip encoding.
 """
 
@@ -18,8 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
-from operator import mod, sub
+from functools import partial, reduce
+from itertools import compress, repeat
+from operator import mod, not_, or_, sub
 
 from .ideals import IdealSpec, kernel_lattice
 from .lattice import (
@@ -95,29 +100,46 @@ def _canonical_classes(n: int, p: int) -> list[tuple[int, tuple[int, ...]]]:
 
 @dataclass(frozen=True)
 class SpectrumPoset:
-    """Canonical points of a spectrum with their containment matrix.
+    """Canonical points of a spectrum with their containment relation.
 
     Shared by the Tambara spectrum (IdealSpec points) and Dress's
     spectrum of A(C_n) (DressPoint points): both have the same points
-    and differ only in containment.
+    and differ only in containment.  ``relation[i]`` is a bitmask over
+    the points: bit j is set iff point i lies in point j, so bit i is
+    always set.
     """
 
     n: int
     primes: tuple[int, ...]
     points: tuple[IdealSpec | DressPoint, ...]
     merged: tuple[tuple[int, ...], ...]
-    relation: tuple[tuple[bool, ...], ...]
+    relation: tuple[int, ...]
 
 
 def _build_poset(n: int, primes, point, gap) -> SpectrumPoset:
     """One point ``point(rep, p)`` per equality class over the prime set,
-    sorted by (rep, p), and the containment matrix ``_contained(gap, ...)``
-    over all pairs, read off one residual key per point and prime.
+    sorted by (rep, p), and the relation ``_contained(gap, ...)`` as one
+    bitmask per point.
 
     For p = 0 or p not dividing n every divisor is its own class; for
     p | n classes are keyed by the p-free part, represented by the p-free
     divisor itself.  A prime that is not exactly an int is rejected, not
-    coerced.  The relation is checked to be antisymmetric.
+    coerced.
+
+    The points of layer q (those with p = q) have keys _residual(rep, q),
+    and every residual of a divisor under q is one of them.  So for each
+    key k of layer q one mask ``above[q][k]`` holds the layer-q points b
+    with ``not gap(k, key_b)``, and the row of a point (c, p) is
+    ``above[p][_residual(c, p)]``, or the OR of ``above[q][_residual(c, q)]``
+    over every q when p = 0.
+
+    The relation is antisymmetric iff the keys within each layer are
+    distinct.  Distinct points a and b contain each other only if
+    p_a in {0, p_b} and p_b in {0, p_a}, which forces p_a = p_b = q; then
+    neither gap(k_a, k_b) nor gap(k_b, k_a) is nonzero, i.e. k_b | k_a and
+    k_a | k_b (``mod``) or k_a = k_b (``sub``), and keys are positive, so
+    k_a = k_b.  Conversely equal keys in one layer contain each other
+    under either gap.  A repeated key raises InvariantError.
     """
     if not primes:
         raise ValueError("the prime set must be non-empty")
@@ -129,20 +151,22 @@ def _build_poset(n: int, primes, point, gap) -> SpectrumPoset:
         (rep, p, merged) for p in ps for rep, merged in _canonical_classes(n, p)
     )
     points = tuple(point(rep, p) for rep, p, _ in classes)
-    keys = [{q: _residual(rep, q) for q in ps} for rep, _, _ in classes]
-    columns = [(p, key[p]) for (_, p, _), key in zip(classes, keys)]
+    layers: dict[int, dict[int, int]] = {q: {} for q in ps}  # key -> point index
+    for i, (rep, p, _) in enumerate(classes):
+        other = layers[p].setdefault(_residual(rep, p), i)
+        if other != i:
+            raise InvariantError(
+                f"distinct canonical points {points[other].label} and "
+                f"{points[i].label} contain each other"
+            )
+    above = {}
+    for q, layer in layers.items():
+        keys, bits = list(layer), [1 << b for b in layer.values()]
+        above[q] = {k: sum(compress(bits, map(not_, map(gap, repeat(k), keys)))) for k in keys}
     relation = tuple(
-        tuple([(pa == 0 or pa == pb) and not gap(ka[pb], kb) for pb, kb in columns])
-        for (_, pa, _), ka in zip(classes, keys)
+        reduce(or_, (above[q][_residual(rep, q)] for q in ((p,) if p else ps)))
+        for rep, p, _ in classes
     )
-    for i, row in enumerate(relation):
-        column = (other[i] for other in relation[i + 1:])
-        for j, (a_in_b, b_in_a) in enumerate(zip(row[i + 1:], column), i + 1):
-            if a_in_b and b_in_a:
-                raise InvariantError(
-                    f"distinct canonical points {points[i].label} and "
-                    f"{points[j].label} contain each other"
-                )
     merged = tuple(m for _, _, m in classes)
     return SpectrumPoset(n, tuple(ps), points, merged, relation)
 
@@ -152,21 +176,38 @@ def enumerate_spectrum(ctx: CyclicGroupCtx, primes) -> SpectrumPoset:
     return _build_poset(ctx.n, primes, partial(IdealSpec, ctx.n), mod)
 
 
+def _strict_up(poset) -> list[int]:
+    """Per point, the bitmask of the points strictly above it."""
+    return [row & ~(1 << i) for i, row in enumerate(poset.relation)]
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def krull_dimension(poset) -> int:
-    """Length (edge count) of the longest strict chain of the relation."""
-    rel = poset.relation
-    npts = len(rel)
-    memo: dict[int, int] = {}
+    """Length (edge count) of the longest strict chain of the relation.
 
-    def longest_from(i: int) -> int:
-        if i not in memo:
-            memo[i] = max(
-                (1 + longest_from(j) for j in range(npts) if j != i and rel[i][j]),
-                default=0,
-            )
-        return memo[i]
-
-    return max((longest_from(i) for i in range(npts)), default=0)
+    Mirsky: peel off the maximal points of what is left (no point of it
+    strictly above them) until nothing is; the longest chain has one
+    point per peel.
+    """
+    strict = _strict_up(poset)
+    rest = (1 << len(strict)) - 1
+    todo = range(len(strict))
+    peels = 0
+    while todo:
+        top = sum(1 << i for i in todo if not strict[i] & rest)
+        if not top:
+            raise InvariantError("the containment relation has a cycle")
+        rest ^= top
+        todo = [i for i in todo if rest >> i & 1]
+        peels += 1
+    return max(peels - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +244,28 @@ def dress_spectrum(ctx: CyclicGroupCtx, primes) -> SpectrumPoset:
 
 
 def hasse_edges(poset) -> list[tuple[int, int]]:
-    """Transitive reduction of the strict containment relation.
+    """Transitive reduction of the strict containment relation, as pairs
+    (i, j) in ascending order.
 
     (i, j) is a cover when i lies strictly below j and no point lies
-    strictly between them, i.e. the strict up-set of i (a bitmask) and the
-    strict down-set of j share no point.
+    strictly between them: the covers of i are the points of its strict
+    up-set ``up`` outside ``between``, the union of the strict up-sets of
+    the points of ``up``.  A point already in ``between`` adds nothing to
+    it (its strict up-set lies in the one that put it there) and is
+    skipped; taking the highest index first skips most, because larger
+    representatives lie lower.
     """
-    rel = poset.relation
-    npts = len(rel)
-    up = [0] * npts
-    down = [0] * npts
-    for i, row in enumerate(rel):
-        for j, below in enumerate(row):
-            if below and i != j:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return [
-        (i, j)
-        for i, row in enumerate(rel)
-        for j, below in enumerate(row)
-        if below and i != j and not up[i] & down[j]
-    ]
+    strict = _strict_up(poset)
+    edges = []
+    for i, up in enumerate(strict):
+        between = 0
+        rest = up
+        while rest:
+            j = rest.bit_length() - 1
+            between |= strict[j]
+            rest &= ~(between | 1 << j)
+        edges.extend((i, j) for j in _bits(up & ~between))
+    return edges
 
 
 def _node_name(spec: IdealSpec) -> str:
@@ -237,7 +279,7 @@ def export_dot(poset: SpectrumPoset) -> str:
     for spec, merged in zip(poset.points, poset.merged):
         label = " = ".join(f"p_{{C_{d},{spec.p}}}" for d in merged)
         lines.append(f'  {_node_name(spec)} [label="{label}"];')
-    for i, j in sorted(hasse_edges(poset)):
+    for i, j in hasse_edges(poset):
         lines.append(f"  {_node_name(poset.points[i])} -> {_node_name(poset.points[j])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -253,7 +295,7 @@ def export_json(poset: SpectrumPoset) -> str:
             {"c": spec.c, "p": spec.p, "merged": list(poset.merged[i])}
             for i, spec in enumerate(poset.points)
         ],
-        "hasse": [list(e) for e in sorted(hasse_edges(poset))],
+        "hasse": [list(e) for e in hasse_edges(poset)],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tambara import ideals
 from tambara.burnside import BurnsideElement, element_from_json
 from tambara.cli import build_parser, integer, parse_element, parse_spec, run
 from tambara.maps import norm
@@ -190,6 +191,28 @@ def test_probe_command_small(capsys):
     doc = json.loads(out)
     assert doc["verdict"].startswith("no counterexample found at this scale")
     assert all(not entry["counterexamples"] for entry in doc["specs"])
+
+
+@pytest.mark.parametrize("option", [["--bound", "-1"], ["--support", "-3"]], ids=str)
+def test_probe_with_a_negative_box_exits_1(capsys, option):
+    # the box would hold only the zero element and report no counterexample
+    code, out, err = invoke(capsys, "probe", "-n", "4", *option)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_probe_box_past_the_limit_exits_1(capsys):
+    code, out, err = invoke(capsys, "probe", "-n", "1", "--bound", "100000")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def test_probe_box_past_a_lowered_limit_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(ideals, "BOX_LIMIT", 60)
+    code, out, err = invoke(capsys, "probe", "-n", "4", "--bound", "2")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BudgetExceeded" and "BOX_LIMIT = 60" in payload["message"]
 
 
 def test_oracle_commands(capsys):

@@ -1,8 +1,9 @@
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
+from tambara import ideals
 from tambara.burnside import BurnsideElement, from_t
 from tambara.ideals import (
     IdealSpec,
@@ -16,7 +17,7 @@ from tambara.ideals import (
     q_check,
     ring_ideal_lattice,
 )
-from tambara.lattice import CyclicGroupCtx, divisors
+from tambara.lattice import BudgetExceeded, CyclicGroupCtx, divisors
 from tambara.maps import norm, restrict, transfer
 from tambara.spectrum import default_primes, enumerate_spectrum
 
@@ -260,6 +261,47 @@ def test_box_elements_counts():
     # support <= 2, coefficients in [-2,2]\{0} at level 12: 1 + 6*4 + 15*16
     assert len(box_elements(12, 2, 2)) == 1 + 24 + 240
     assert len(box_elements(1, 2, 2)) == 5
+
+
+@pytest.mark.parametrize(
+    "level, bound, max_support", [(1, 3, 1), (2, 2, 5), (4, 2, 2), (6, 2, 0), (12, 1, 3)]
+)
+def test_box_size_is_the_binomial_sum(level, bound, max_support):
+    d = len(divisors(level))
+    count = sum(comb(d, s) * (2 * bound) ** s for s in range(max_support + 1))
+    assert len(box_elements(level, bound, max_support)) == count
+
+
+@pytest.mark.parametrize("bound, max_support", [(-1, 2), (2, -3), (-1, -1)])
+def test_negative_box_bound_or_support_is_rejected(bound, max_support):
+    # such a box holds only the zero element, and the probe would report
+    # no counterexample from it
+    with pytest.raises(ValueError):
+        box_elements(4, bound, max_support)
+    with pytest.raises(ValueError):
+        primality_probe(IdealSpec(4, 2, 0), bound=bound, max_support=max_support)
+
+
+def test_box_over_the_limit_is_refused_before_enumeration(monkeypatch):
+    monkeypatch.setattr(ideals, "BOX_LIMIT", 60)
+    with pytest.raises(BudgetExceeded, match="61 elements"):
+        box_elements(4, 2, 2)  # 1 + 3*4 + 3*16
+    assert len(box_elements(2, 2, 2)) == 25
+    # levels 1 and 2 fit; the probe refuses level 4 before reading any marks
+    monkeypatch.setattr(ideals, "mark_table", lambda h: pytest.fail(f"enumerated C_{h}"))
+    with pytest.raises(BudgetExceeded, match="61 elements"):
+        primality_probe(IdealSpec(4, 2, 0), bound=2)
+
+
+def test_probe_box_past_the_default_limit_is_refused():
+    assert ideals.BOX_LIMIT < 1 + 2 * 10**5
+    with pytest.raises(BudgetExceeded):
+        primality_probe(IdealSpec(1, 1, 0), bound=10**5)
+
+
+def test_support_zero_box_is_the_zero_element_whatever_the_bound():
+    assert box_elements(4, 10**6, 0) == [B(4, {})]
+    assert primality_probe(IdealSpec(4, 2, 0), bound=10**6, max_support=0) == []
 
 
 def test_primality_probe_small_spec_clean():

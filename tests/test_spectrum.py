@@ -1,9 +1,11 @@
 import json
+from functools import cache
 
 import pytest
 
+from tambara import spectrum
 from tambara.ideals import IdealSpec
-from tambara.lattice import CyclicGroupCtx, divisors, omega
+from tambara.lattice import CyclicGroupCtx, InvariantError, divisors, omega
 from tambara.spectrum import (
     DressPoint,
     contains,
@@ -22,6 +24,57 @@ from tambara.spectrum import (
 
 def spec(n, c, p):
     return IdealSpec(n, c, p)
+
+
+def krull_oracle(rel) -> int:
+    """Longest strict chain of a bool matrix, by memoized DFS."""
+    npts = len(rel)
+    memo: dict[int, int] = {}
+
+    def longest_from(i: int) -> int:
+        if i not in memo:
+            memo[i] = max(
+                (1 + longest_from(j) for j in range(npts) if j != i and rel[i][j]),
+                default=0,
+            )
+        return memo[i]
+
+    return max((longest_from(i) for i in range(npts)), default=0)
+
+
+def hasse_oracle(rel) -> list[tuple[int, int]]:
+    """Covers of a bool matrix: (i, j) with i strictly below j and the
+    strict up-set of i disjoint from the strict down-set of j."""
+    npts = len(rel)
+    up = [0] * npts
+    down = [0] * npts
+    for i, row in enumerate(rel):
+        for j, below in enumerate(row):
+            if below and i != j:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return [
+        (i, j)
+        for i, row in enumerate(rel)
+        for j, below in enumerate(row)
+        if below and i != j and not up[i] & down[j]
+    ]
+
+
+@cache
+def spectra_with_pairwise(n):
+    """Both spectra of C_n over three prime sets, each with its relation
+    decided pair by pair by contains / dress_contains."""
+    ctx = CyclicGroupCtx(n)
+    out = []
+    for primes in (default_primes(n), [0, 2, 3, 5, 7, 11, 13], [0, 7]):
+        for poset, relates in (
+            (enumerate_spectrum(ctx, primes), contains),
+            (dress_spectrum(ctx, primes), dress_contains),
+        ):
+            pairwise = [[relates(a, b) for b in poset.points] for a in poset.points]
+            out.append((primes, relates.__name__, poset, pairwise))
+    return out
 
 
 # --- symbolic containment ------------------------------------------------------
@@ -138,17 +191,35 @@ def test_spectrum_rejects_non_int_primes(build, primes):
 
 @pytest.mark.parametrize("n", [1, 2, 12, 360, 5040, 27720])
 def test_matrix_equals_the_pairwise_relation(n):
-    # the keyed matrix against contains / dress_contains, one call per pair
-    ctx = CyclicGroupCtx(n)
-    for primes in (default_primes(n), [0, 2, 3, 5, 7, 11, 13], [0, 7]):
-        for poset, relates in (
-            (enumerate_spectrum(ctx, primes), contains),
-            (dress_spectrum(ctx, primes), dress_contains),
-        ):
-            pairwise = tuple(
-                tuple(relates(a, b) for b in poset.points) for a in poset.points
-            )
-            assert poset.relation == pairwise, (n, primes, relates.__name__)
+    # the keyed row masks against contains / dress_contains, one call per pair
+    for primes, relates, poset, pairwise in spectra_with_pairwise(n):
+        masks = tuple(sum(b << j for j, b in enumerate(row)) for row in pairwise)
+        assert poset.relation == masks, (n, primes, relates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 360, 5040, 27720])
+def test_krull_and_hasse_equal_the_matrix_oracles(n):
+    # peeling and minimal-cover masks against DFS and the N^2 cover test,
+    # both run on the pairwise relation
+    for primes, relates, poset, pairwise in spectra_with_pairwise(n):
+        assert krull_dimension(poset) == krull_oracle(pairwise), (n, primes, relates)
+        assert hasse_edges(poset) == hasse_oracle(pairwise), (n, primes, relates)
+
+
+@pytest.mark.parametrize(
+    "build", [enumerate_spectrum, dress_spectrum], ids=["tambara", "dress"]
+)
+def test_duplicate_canonical_class_is_a_broken_invariant(build, monkeypatch):
+    # two points with one key in a layer contain each other
+    real = spectrum._canonical_classes
+
+    def doubled(n, p):
+        classes = real(n, p)
+        return classes + classes[:1] if p == 2 else classes
+
+    monkeypatch.setattr(spectrum, "_canonical_classes", doubled)
+    with pytest.raises(InvariantError, match="contain each other"):
+        build(CyclicGroupCtx(12), [0, 2, 3])
 
 
 def test_antisymmetry_of_canonical_points():
@@ -158,7 +229,7 @@ def test_antisymmetry_of_canonical_points():
         for i in range(npts):
             for j in range(npts):
                 if i != j:
-                    assert not (poset.relation[i][j] and poset.relation[j][i])
+                    assert not (poset.relation[i] >> j & 1 and poset.relation[j] >> i & 1)
 
 
 # --- Krull dimension -------------------------------------------------------------
@@ -200,7 +271,7 @@ def test_dress_only_containments_are_zero_into_prime():
     d = dress_spectrum(CyclicGroupCtx(12), [0, 2, 3, 5])
     for i, a in enumerate(d.points):
         for j, b in enumerate(d.points):
-            if i == j or not d.relation[i][j]:
+            if i == j or not d.relation[i] >> j & 1:
                 continue
             assert a.p == 0 and b.p != 0
 
@@ -284,7 +355,7 @@ def test_hasse_transitive_closure_equals_relation():
                             reach[i][j] = True
         for i in range(npts):
             for j in range(npts):
-                assert reach[i][j] == poset.relation[i][j]
+                assert reach[i][j] == poset.relation[i] >> j & 1
 
 
 def test_zero_layer_dual_to_divisor_lattice():
@@ -293,7 +364,7 @@ def test_zero_layer_dual_to_divisor_lattice():
         idx = {pt.c: i for i, pt in enumerate(poset.points)}
         for a in divisors(n):
             for b in divisors(n):
-                assert poset.relation[idx[a]][idx[b]] == (a % b == 0)
+                assert poset.relation[idx[a]] >> idx[b] & 1 == (a % b == 0)
 
 
 def test_default_primes():

@@ -3,9 +3,11 @@
 An element of A(C_h) is a formal integer combination of the transitive
 sets C_h/C_k for k | h, stored sparsely with zero coefficients dropped so
 that structural equality is mathematical equality.  Marks (fixed-point
-counts) embed A(C_h) into the ghost ring prod_{i|h} Z; the embedding is
-inverted by Moebius inversion over the divisor lattice, with an exact
-integrality check recognizing the image.
+counts) embed A(C_h) into the ghost ring prod_{i|h} Z; ``unghost``
+inverts the embedding by a descending recursion over the divisor lattice,
+with an exact integrality check recognizing the image.  It is the
+package's one inversion: the norm, fixed by its marks, is read back
+through it too.
 
 All coefficients are Python ints: norms raise marks to large powers and
 must never overflow.
@@ -17,7 +19,7 @@ import re
 from functools import lru_cache
 from math import gcd
 
-from .lattice import divisors, moebius, require_divides, check_prime_or_zero
+from .lattice import divisors, require_divides, check_prime_or_zero
 
 
 class NotInGhostImage(ValueError):
@@ -236,21 +238,26 @@ def ghost(x: BurnsideElement) -> GhostVector:
 
 
 def unghost(v: GhostVector) -> BurnsideElement:
-    """Invert the mark embedding by Moebius inversion.
+    """Invert the mark embedding.
 
-    m_j = (sum over j | i | h of moebius(j, i) * v[i]) / (h/j); every
-    division must be exact, otherwise v is not the ghost of any element
-    and NotInGhostImage names the first divisor (ascending) that fails.
+    The mark at C_k is the sum of c_l = m_l * (h/l) over the l | h that k
+    divides, so in descending order c_k = v[k] - sum of c_l over the
+    proper multiples l of k.  Then m_j = c_j / (h/j) in ascending order;
+    every division must be exact, otherwise v is not the ghost of any
+    element and NotInGhostImage names the first divisor that fails.
     """
     h = v.level
     divs = divisors(h)
+    c: dict[int, int] = {}
+    for k in reversed(divs):
+        # c holds exactly the divisors above k so far
+        c[k] = v.values[k] - sum(cl for l, cl in c.items() if l % k == 0)
     coeffs = {}
     for j in divs:
-        total = sum(moebius(j, i) * v.values[i] for i in divs if i % j == 0)
-        q, r = divmod(total, h // j)
+        q, r = divmod(c[j], h // j)
         if r:
             raise NotInGhostImage(
-                j, f"not a ghost vector: m_{j} = {total}/{h // j} is not an integer"
+                j, f"not a ghost vector: m_{j} = {c[j]}/{h // j} is not an integer"
             )
         if q:
             coeffs[j] = q

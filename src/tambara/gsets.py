@@ -9,7 +9,7 @@ formulas elsewhere in the package are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .burnside import BurnsideElement
 from .lattice import BudgetExceeded, InvariantError, require_divides
@@ -24,28 +24,35 @@ DEFAULT_MAP_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class ConcreteGSet:
-    """A finite C_level-set: the generator acts by ``perm``."""
+    """A finite C_level-set: the generator acts by ``perm``.
+
+    ``cycles``, its cycle lengths, comes from the one walk that validation
+    makes; equality, hashing and repr see only ``level`` and ``perm``.
+    """
 
     level: int
     perm: tuple[int, ...]
+    cycles: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)):
             raise ValueError("action must be a permutation of 0..size-1")
-        for length in _cycle_lengths(self.perm):
+        cycles = _cycle_lengths(self.perm)
+        for length in cycles:
             if self.level % length != 0:
                 raise ValueError(
                     f"generator order must divide {self.level}; found a "
                     f"{length}-cycle"
                 )
+        object.__setattr__(self, "cycles", cycles)
 
     @property
     def size(self) -> int:
         return len(self.perm)
 
 
-def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
+def _cycle_lengths(perm: tuple[int, ...]) -> tuple[int, ...]:
     seen = bytearray(len(perm))
     lengths = []
     for start in range(len(perm)):
@@ -58,7 +65,7 @@ def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
             x = perm[x]
             length += 1
         lengths.append(length)
-    return lengths
+    return tuple(lengths)
 
 
 def realize(x: BurnsideElement) -> ConcreteGSet:
@@ -86,14 +93,14 @@ def fixed_points(s: ConcreteGSet, i: int) -> int:
     """Number of points fixed by C_i, the subgroup generated by sigma^(h/i)."""
     require_divides(i, s.level, "fixed-point subgroup")
     power = s.level // i
-    return sum(length for length in _cycle_lengths(s.perm) if power % length == 0)
+    return sum(length for length in s.cycles if power % length == 0)
 
 
 def decompose(s: ConcreteGSet) -> BurnsideElement:
     """Orbit decomposition: an orbit of size d contributes C_h/C_{h/d}."""
     h = s.level
     coeffs: dict[int, int] = {}
-    for length in _cycle_lengths(s.perm):
+    for length in s.cycles:
         if h % length:
             raise InvariantError("orbit sizes divide the group order")
         k = h // length

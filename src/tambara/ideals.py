@@ -33,9 +33,10 @@ from .lattice import (
 )
 from .maps import norm, restrict
 
-# The most elements one level's probe box may hold.  The largest box in
-# the tests, demos and benchmark has 1,105 (12 orbits, bound 2, support
-# 2); the probe takes about 5 us an element, half a second at this cap.
+# The most elements a box, or a probe's boxes and mark table together,
+# may hold.  The largest probe in the tests, demos and benchmark (n = 60,
+# bound 2, support 2) keeps 2,596 box elements and 720 table marks; the
+# probe takes about 5 us a box element, half a second at this cap.
 BOX_LIMIT = 10**5
 
 
@@ -117,22 +118,16 @@ def level_generators(spec: IdealSpec, h: int) -> list[BurnsideElement]:
 class LevelLattice:
     """A sub-Z-module of A(C_level) in the ascending transitive basis.
 
-    ``basis`` is a canonical HNF row matrix.  Construction verifies
-    closure under multiplication by every basis orbit, i.e. that the row
-    span really is a ring ideal.
+    ``basis`` is a canonical HNF row matrix; ``from_rows`` computes it
+    from any spanning rows.  Construction verifies closure under
+    multiplication by every basis orbit, i.e. that the row span really is
+    a ring ideal, however the lattice is built.
     """
 
     level: int
     basis: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_rows(cls, level: int, rows) -> "LevelLattice":
-        basis = tuple(tuple(r) for r in hnf([list(r) for r in rows]))
-        lat = cls(level, basis)
-        lat._check_multiplicative_closure()
-        return lat
-
-    def _check_multiplicative_closure(self) -> None:
+    def __post_init__(self) -> None:
         rows = [list(r) for r in self.basis]
         for r in self.basis:
             x = from_vector(self.level, r)
@@ -143,6 +138,10 @@ class LevelLattice:
                         f"row span at level {self.level} is not an ideal: "
                         f"{x} * C/C_{k} escapes"
                     )
+
+    @classmethod
+    def from_rows(cls, level: int, rows) -> "LevelLattice":
+        return cls(level, tuple(map(tuple, hnf(rows))))
 
     def member(self, x: BurnsideElement) -> bool:
         """Is x an integer combination of the lattice basis rows?"""
@@ -166,14 +165,14 @@ def kernel_lattice(spec: IdealSpec, h: int) -> LevelLattice:
 
     Solves mark(X, i) = 0 mod p (exactly for p = 0) over the divisors i
     of gcd(h, c), via an exact integer kernel/preimage computation on the
-    mark matrix.
+    mark matrix, whose basis is already the canonical HNF.
     """
     require_divides(h, spec.n, "lattice level")
     divs = divisors(h)
     g = gcd(h, spec.c)
     conds = [row for i, row in zip(divs, mark_table(h)) if g % i == 0]
     rows = preimage_mod(conds, len(divs), spec.p)
-    return LevelLattice.from_rows(h, rows)
+    return LevelLattice(h, tuple(map(tuple, rows)))
 
 
 def ring_ideal_lattice(h: int, gens) -> LevelLattice:
@@ -259,19 +258,19 @@ def q_check(family, a: BurnsideElement, b: BurnsideElement, n: int | None = None
     return QReport(True)
 
 
-def _check_box(d: int, bound: int, max_support: int) -> None:
-    """Check a box over d orbits before any element is made: a negative
-    bound or support raises ValueError, and a box of more than BOX_LIMIT
-    elements, counted as the sum over s <= max_support of
-    C(d, s) * (2 * bound)**s, raises BudgetExceeded.  The count grows with
-    d, so checking the top level of a probe checks every level."""
+def _box_size(d: int, bound: int, max_support: int) -> int:
+    """The number of elements in the box over d orbits, counted before any
+    is made: the sum over s <= max_support of C(d, s) * (2 * bound)**s.
+    A negative bound or support raises ValueError."""
     if bound < 0 or max_support < 0:
         raise ValueError(f"box bound and support must be >= 0, got {bound} and {max_support}")
-    count = sum(comb(d, s) * (2 * bound) ** s for s in range(min(max_support, d) + 1))
+    return sum(comb(d, s) * (2 * bound) ** s for s in range(min(max_support, d) + 1))
+
+
+def _check_budget(count: int, what: str) -> None:
+    """Refuse, with BudgetExceeded, work that keeps more than BOX_LIMIT elements."""
     if count > BOX_LIMIT:
-        raise BudgetExceeded(
-            f"a box of {count} elements over {d} orbits exceeds BOX_LIMIT = {BOX_LIMIT}"
-        )
+        raise BudgetExceeded(f"{what} exceeds BOX_LIMIT = {BOX_LIMIT}")
 
 
 def _box(d: int, bound: int, max_support: int):
@@ -288,10 +287,11 @@ def _box(d: int, bound: int, max_support: int):
 
 def box_elements(level: int, bound: int, max_support: int = 2) -> list[BurnsideElement]:
     """All elements at the level with at most ``max_support`` nonzero
-    coefficients, each in [-bound, bound]; the box is checked first by
-    ``_check_box``."""
+    coefficients, each in [-bound, bound]; the box's size is checked
+    against BOX_LIMIT first."""
     divs = divisors(level)
-    _check_box(len(divs), bound, max_support)
+    count = _box_size(len(divs), bound, max_support)
+    _check_budget(count, f"a box of {count} elements over {len(divs)} orbits")
     return [
         BurnsideElement(level, {divs[j]: m for j, m in zip(idx, ms)})
         for idx, ms in _box(len(divs), bound, max_support)
@@ -311,8 +311,10 @@ def primality_probe(
     level in ``box_elements`` order, and returns every pair (a, b) with a
     not after b for which Q holds although neither element is a member.
     An empty result means no falsification at this scale, never a proof
-    of primality.  The top level's box is checked by ``_check_box`` before
-    any level is enumerated.
+    of primality.  Before any level is enumerated, what the probe keeps is
+    checked against BOX_LIMIT: the elements of every level's box (it keeps
+    a record of each non-member) plus the d(n)**2 * (2*bound + 1) marks of
+    the top level's table ``scaled`` (none at support 0).
 
     Q is decided without computing a norm.  Q(a, b) asks that the mark at
     C_i of N_K^L res_K a * N_K'^L res_K' b vanish mod p for every spec
@@ -342,13 +344,20 @@ def primality_probe(
     the result is [] before any pair is formed.
     """
     n, specs = _family(family, n)
-    _check_box(len(divisors(n)), bound, max_support)
+    levels = divisors(n)
+    boxes = sum(_box_size(len(divisors(h)), bound, max_support) for h in levels)
+    table_marks = len(levels) ** 2 * (2 * bound + 1) if max_support else 0
+    _check_budget(
+        boxes + table_marks,
+        f"a probe keeping {boxes + table_marks} elements ({boxes} box elements "
+        f"and {table_marks} table marks)",
+    )
     slots = sorted({(i, s.p) for s in specs for i in divisors(s.c)})
     full = (1 << len(slots)) - 1
     top = sum(1 << slots.index((s.c, s.p)) for s in specs)
     primes = sorted({p for _, p in slots})
     boxes, masks = [], []  # (level, divisors, indices, coefficients) and mask of each non-member
-    for h in divisors(n):
+    for h in levels:
         divs = divisors(h)
         table = mark_table(h)
         # (bit, prime position, divisors of gcd(i, h) as a bitmask over divs)

@@ -96,9 +96,10 @@ def kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
         + [int(t == j) for t in range(ncols)]
         for j in range(ncols)
     ]
-    reduced = hnf(aug)
-    gens = [row[nconds:] for row in reduced if not any(row[:nconds])]
-    return hnf(gens)
+    # The rows with a zero A^T block come last in the HNF, with their
+    # pivots right of column nconds and every entry above a pivot reduced,
+    # so their coordinate blocks are already the kernel's canonical HNF.
+    return [row[nconds:] for row in hnf(aug) if not any(row[:nconds])]
 
 
 def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int) -> list[int]:

@@ -3,9 +3,8 @@
 Subgroups of the cyclic group C_n correspond to divisors of n: C_d is the
 unique subgroup of order d, and C_j <= C_d exactly when j | d.  Throughout
 the package a subgroup is therefore a plain (validated) int, and lattice
-operations reduce to gcd, lcm, and the number-theoretic Moebius function
-on index ratios.  Divisors and primality are read off one cached
-factorization per integer.
+operations reduce to gcd, lcm and divisibility.  Divisors and primality
+are read off one cached factorization per integer.
 """
 
 from __future__ import annotations
@@ -100,31 +99,6 @@ def prime_factors(n: int) -> list[int]:
 def omega(n: int) -> int:
     """Number of prime factors of n counted with multiplicity."""
     return sum(e for _, e in factorize(n))
-
-
-def mu(m: int) -> int:
-    """Number-theoretic Moebius function."""
-    if m < 1:
-        raise ValueError(f"mu is defined on positive integers, got {m}")
-    value = 1
-    for _, e in factorize(m):
-        if e > 1:
-            return 0
-        value = -value
-    return value
-
-
-def moebius(j: int, k: int) -> int:
-    """Moebius function of the subgroup poset of a cyclic group.
-
-    For C_j <= C_k this is mu(k/j); if j does not divide k the poset
-    value is 0.
-    """
-    if j < 1 or k < 1:
-        raise ValueError("subgroup orders must be positive")
-    if k % j != 0:
-        return 0
-    return mu(k // j)
 
 
 def p_part(d: int, p: int) -> int:

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -18,7 +20,7 @@ from tambara.burnside import (
     unghost,
 )
 from tambara.gsets import fixed_points, realize
-from tambara.lattice import divisors
+from tambara.lattice import divisors, factorize
 
 
 def B(level, coeffs):
@@ -165,6 +167,108 @@ def test_unghost_integrality_failure():
     with pytest.raises(NotInGhostImage) as err:
         unghost(GhostVector(2, {1: 1, 2: 0}))
     assert err.value.divisor == 1
+
+
+# --- the Moebius oracle for unghost --------------------------------------------
+
+
+def mu(m: int) -> int:
+    """Number-theoretic Moebius function."""
+    if m < 1:
+        raise ValueError(f"mu is defined on positive integers, got {m}")
+    value = 1
+    for _, e in factorize(m):
+        if e > 1:
+            return 0
+        value = -value
+    return value
+
+
+def moebius(j: int, k: int) -> int:
+    """Moebius function of the subgroup poset of a cyclic group.
+
+    For C_j <= C_k this is mu(k/j); if j does not divide k the poset
+    value is 0.
+    """
+    if j < 1 or k < 1:
+        raise ValueError("subgroup orders must be positive")
+    if k % j != 0:
+        return 0
+    return mu(k // j)
+
+
+@lru_cache(maxsize=None)
+def moebius_rows(h):
+    divs = divisors(h)
+    return tuple((j, tuple((i, moebius(j, i)) for i in divs if i % j == 0)) for j in divs)
+
+
+def unghost_by_moebius(v):
+    """Moebius inversion: m_j = (sum over j | i | h of moebius(j, i) v[i])
+    / (h/j), the first inexact division (ascending j) raising."""
+    h = v.level
+    coeffs = {}
+    for j, row in moebius_rows(h):
+        total = sum(mob * v.values[i] for i, mob in row)
+        q, r = divmod(total, h // j)
+        if r:
+            raise NotInGhostImage(
+                j, f"not a ghost vector: m_{j} = {total}/{h // j} is not an integer"
+            )
+        if q:
+            coeffs[j] = q
+    return BurnsideElement(h, coeffs)
+
+
+def test_moebius_examples():
+    assert moebius(2, 12) == mu(6) == 1
+    assert moebius(1, 12) == mu(12) == 0
+    assert moebius(3, 2) == 0
+
+
+def test_moebius_poset_recursion():
+    # sum over j | x | k of mu(j, x) vanishes for j strictly below k
+    for k in divisors(360):
+        for j in divisors(k):
+            total = sum(moebius(j, x) for x in divisors(k) if x % j == 0)
+            assert total == (1 if j == k else 0)
+
+
+def outcome(invert, v):
+    try:
+        return invert(v)
+    except NotInGhostImage as err:
+        return (err.divisor, str(err))
+
+
+def test_unghost_equals_moebius_inversion_on_small_boxes():
+    for h in (1, 2, 4, 6, 12):
+        divs = divisors(h)
+        for marks in itertools.product(range(-2, 3), repeat=len(divs)):
+            v = GhostVector(h, dict(zip(divs, marks)))
+            assert outcome(unghost, v) == outcome(unghost_by_moebius, v)
+
+
+@pytest.mark.parametrize("h", [60, 360, 5040])
+def test_unghost_equals_moebius_inversion_on_random_vectors(h):
+    # a third each: images of elements, images with one mark moved, and
+    # arbitrary marks; the two moved kinds fail at varying divisors
+    rng = random.Random(h)
+    divs = divisors(h)
+    failures = set()
+    for t in range(1000):
+        if t % 3 == 2:
+            marks = {i: rng.randint(-10**6, 10**6) for i in divs}
+        else:
+            marks = dict(ghost(random_element(rng, h, bound=50, density=0.3)).values)
+            if t % 3 == 1:
+                marks[rng.choice(divs)] += rng.choice([-1, 1]) * rng.randint(1, 5)
+        v = GhostVector(h, marks)
+        expected = outcome(unghost_by_moebius, v)
+        assert outcome(unghost, v) == expected
+        if isinstance(expected, tuple):
+            failures.add(expected[0])
+    assert len(failures) > 1
 
 
 def test_ghost_vector_validates_keys():

@@ -216,10 +216,12 @@ def test_probe_box_past_a_lowered_limit_exits_1(capsys, monkeypatch):
 
 
 def test_oracle_commands(capsys):
-    for check in ("marks", "transfers", "norms"):
-        code, out, _ = invoke(capsys, "oracle", "--check", check, "-n", "6")
-        assert code == 0
-        assert out.startswith(f"{check}: OK (")
+    expected = {"6": (171, 81, 36), "12": (666, 258, 81)}
+    for n, counts in expected.items():
+        for check, cases in zip(("marks", "transfers", "norms"), counts):
+            code, out, _ = invoke(capsys, "oracle", "--check", check, "-n", n)
+            assert code == 0
+            assert out == f"{check}: OK ({cases} cases)\n"
 
 
 def test_dress_command(capsys):

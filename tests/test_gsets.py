@@ -1,5 +1,6 @@
 import pytest
 
+from tambara import gsets
 from tambara.burnside import BurnsideElement
 from tambara.gsets import (
     BudgetExceeded,
@@ -74,6 +75,22 @@ def test_fixed_points_examples():
 def test_decompose_examples():
     assert decompose(ConcreteGSet(2, (0, 1))) == BurnsideElement(2, {2: 2})
     assert decompose(ConcreteGSet(2, (1, 0))) == BurnsideElement(2, {1: 1})
+
+
+def test_cycles_are_walked_once_per_gset(monkeypatch):
+    walks = []
+    walk = gsets._cycle_lengths
+    monkeypatch.setattr(gsets, "_cycle_lengths", lambda perm: walks.append(perm) or walk(perm))
+    x = BurnsideElement(12, {1: 1, 4: 2, 12: 3})
+    s = realize(x)
+    assert [fixed_points(s, i) for i in divisors(12)] == [x.mark(i) for i in divisors(12)]
+    assert decompose(s) == x
+    assert walks == [s.perm]
+    # the stored cycle type is not part of equality, hashing or repr
+    t = ConcreteGSet(6, (1, 2, 0))
+    assert t.cycles == (3,)
+    assert t == ConcreteGSet(6, (1, 2, 0)) and hash(t) == hash((6, (1, 2, 0)))
+    assert repr(t) == "ConcreteGSet(level=6, perm=(1, 2, 0))"
 
 
 def test_realize_decompose_roundtrip():

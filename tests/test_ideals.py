@@ -17,7 +17,7 @@ from tambara.ideals import (
     q_check,
     ring_ideal_lattice,
 )
-from tambara.lattice import BudgetExceeded, CyclicGroupCtx, divisors
+from tambara.lattice import BudgetExceeded, CyclicGroupCtx, InvariantError, divisors
 from tambara.maps import norm, restrict, transfer
 from tambara.spectrum import default_primes, enumerate_spectrum
 
@@ -141,6 +141,9 @@ def test_level_lattice_rejects_non_ideal_span():
     # span of C_4/C_4 alone is not closed under multiplication by C_4/e
     with pytest.raises(AssertionError):
         LevelLattice.from_rows(4, [[0, 0, 1]])
+    # a basis given directly, as kernel_lattice gives it, is checked too
+    with pytest.raises(InvariantError):
+        LevelLattice(4, ((0, 0, 1),))
 
 
 def test_membership_equivalence_random():
@@ -287,10 +290,21 @@ def test_box_over_the_limit_is_refused_before_enumeration(monkeypatch):
     with pytest.raises(BudgetExceeded, match="61 elements"):
         box_elements(4, 2, 2)  # 1 + 3*4 + 3*16
     assert len(box_elements(2, 2, 2)) == 25
-    # levels 1 and 2 fit; the probe refuses level 4 before reading any marks
+    # the probe keeps the boxes of levels 1, 2 and 4 (5 + 25 + 61) and a
+    # table of 3 * 3 * 5 marks, and refuses before reading any marks
     monkeypatch.setattr(ideals, "mark_table", lambda h: pytest.fail(f"enumerated C_{h}"))
-    with pytest.raises(BudgetExceeded, match="61 elements"):
+    with pytest.raises(BudgetExceeded, match="136 elements"):
         primality_probe(IdealSpec(4, 2, 0), bound=2)
+
+
+def test_probe_budget_counts_every_level_and_the_table(monkeypatch):
+    # the top box of C_12 alone has 265 elements; with the other five
+    # levels (229) and the table (6 * 6 * 5 = 180) the probe keeps 674
+    monkeypatch.setattr(ideals, "BOX_LIMIT", 300)
+    assert len(box_elements(12, 2, 2)) == 265
+    monkeypatch.setattr(ideals, "mark_table", lambda h: pytest.fail(f"enumerated C_{h}"))
+    with pytest.raises(BudgetExceeded, match="674 elements"):
+        primality_probe(IdealSpec(12, 1, 2), bound=2, max_support=2)
 
 
 def test_probe_box_past_the_default_limit_is_refused():

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from tambara import intlattice
+from tambara import ideals, intlattice
 from tambara.ideals import IdealSpec, kernel_lattice
 from tambara.intlattice import hnf, in_row_span, is_sublattice, kernel, preimage_mod, xgcd
 from tambara.lattice import divisors
@@ -92,6 +92,7 @@ def test_kernel_annihilates_and_is_complete():
     for _ in range(100):
         conds = random_matrix(rng, rng.randint(1, 3), 4)
         basis = kernel(conds, 4)
+        assert hnf(basis) == basis  # the kernel block of HNF([A^T | I]) is canonical
         for row in basis:
             assert all(
                 sum(c * x for c, x in zip(cond, row)) == 0 for cond in conds
@@ -175,9 +176,11 @@ def test_preimage_mod_prime_matches_kernel_route_on_mark_conditions():
 
 
 def test_preimage_mod_prime_needs_no_xgcd(monkeypatch):
-    def forbidden(a, b):
-        raise AssertionError("xgcd called")
+    def forbidden(*args):
+        raise AssertionError("row reduction over Z called")
 
+    # the preimage's basis is canonical, so no HNF is taken of it either
+    monkeypatch.setattr(ideals, "hnf", forbidden)
     monkeypatch.setattr(intlattice, "xgcd", forbidden)
     kernel_lattice.cache_clear()
     try:
@@ -187,6 +190,16 @@ def test_preimage_mod_prime_needs_no_xgcd(monkeypatch):
                     kernel_lattice(IdealSpec(60, c, p), h)
     finally:
         kernel_lattice.cache_clear()
+
+
+@pytest.mark.parametrize("n", [12, 60, 90])
+def test_every_kernel_lattice_basis_is_its_own_hnf(n):
+    # the lattice depends on the spec only through gcd(h, c) and p
+    for h in divisors(n):
+        for g in divisors(h):
+            for p in (0, 2, 3, 5, 7):
+                basis = [list(r) for r in kernel_lattice(IdealSpec(n, g, p), h).basis]
+                assert hnf(basis) == basis, (n, h, g, p)
 
 
 def test_preimage_mod_rejects_composite_modulus():

@@ -9,8 +9,6 @@ from tambara.lattice import (
     divisors,
     factorize,
     is_prime,
-    moebius,
-    mu,
     o_p,
     omega,
     s_partition,
@@ -48,20 +46,6 @@ def test_divisors_are_exactly_the_divisors():
         ds = divisors(n)
         assert ds == sorted(ds)
         assert ds == [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_moebius_examples():
-    assert moebius(2, 12) == mu(6) == 1
-    assert moebius(1, 12) == mu(12) == 0
-    assert moebius(3, 2) == 0
-
-
-def test_moebius_poset_recursion():
-    # sum over j | x | k of mu(j, x) vanishes for j strictly below k
-    for k in divisors(360):
-        for j in divisors(k):
-            total = sum(moebius(j, x) for x in divisors(k) if x % j == 0)
-            assert total == (1 if j == k else 0)
 
 
 def test_divisors_returns_a_fresh_list():

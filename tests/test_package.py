@@ -20,6 +20,21 @@ def test_no_bare_asserts_in_package(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_in_package(path):
+    # arithmetic stays in exact ints: no float constant, no true division,
+    # and no use of the name float
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+        or (isinstance(node, ast.Name) and node.id == "float")
+    ]
+    assert found == [], f"{path.name}: float arithmetic at lines {found}"
+
+
 def _root_imports(source: str) -> set[str]:
     return {
         alias.name

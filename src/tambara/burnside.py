@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .lattice import divisors, require_divides, check_prime_or_zero
 
@@ -42,10 +43,11 @@ def integer(text: str) -> int:
 class BurnsideElement:
     """Sparse element of A(C_level) in the transitive basis.
 
-    ``coeffs[k]`` is the multiplicity of the orbit C_level/C_k.  Supports
-    +, -, unary -, * (ring product via the t-rule and int scaling), ==,
-    and hashing.  A level, key or coefficient that is not exactly an int
-    raises TypeError; nothing is coerced.
+    ``coeffs[k]`` is the multiplicity of the orbit C_level/C_k; ``coeffs``
+    is a read-only view, so an element never changes after its checks.
+    Supports +, -, unary -, * (ring product via the t-rule and int
+    scaling), ==, and hashing.  A level, key or coefficient that is not
+    exactly an int raises TypeError; nothing is coerced.
     """
 
     __slots__ = ("level", "coeffs")
@@ -64,7 +66,7 @@ class BurnsideElement:
             if m:
                 clean[k] = m
         self.level = level
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
 
     @classmethod
     def zero(cls, level: int) -> "BurnsideElement":
@@ -106,7 +108,7 @@ class BurnsideElement:
         if not isinstance(other, BurnsideElement):
             return NotImplemented
         self._require_same_level(other)
-        acc = dict(self.coeffs)
+        acc = self.coeffs.copy()
         for k, m in other.coeffs.items():
             acc[k] = acc.get(k, 0) + m
         return BurnsideElement(self.level, acc)
@@ -189,7 +191,8 @@ def from_t(level: int, m: int) -> BurnsideElement:
 class GhostVector:
     """Mark tuple of an element of A(C_level), indexed by all i | level.
 
-    Like BurnsideElement, it takes only exact ints (TypeError otherwise).
+    Like BurnsideElement, it takes only exact ints (TypeError otherwise),
+    and ``values`` is a read-only view.
     """
 
     __slots__ = ("level", "values")
@@ -206,7 +209,7 @@ class GhostVector:
                 f"ghost vector at level {level} must have exactly the keys {divs}"
             )
         self.level = level
-        self.values = {i: values[i] for i in divs}
+        self.values = MappingProxyType({i: values[i] for i in divs})
 
     def pointwise_mul(self, other: "GhostVector") -> "GhostVector":
         if self.level != other.level:
@@ -229,7 +232,7 @@ class GhostVector:
         return hash((self.level, self.as_tuple()))
 
     def __repr__(self):
-        return f"GhostVector(level={self.level}, values={self.values})"
+        return f"GhostVector(level={self.level}, values={dict(self.values)})"
 
 
 def ghost(x: BurnsideElement) -> GhostVector:

@@ -8,14 +8,15 @@ generators, exact integer-lattice realizations of each level (so that
 "generated ideal equals kernel" is an HNF matrix comparison), and
 Nakaoka's primality condition Q: ``q_check`` evaluates it on one pair by
 computing norms, and ``primality_probe`` decides it on a whole box of
-pairs with one bitmask of covered mark conditions per element, grouped
-into classes of equal masks.
+pairs from classes of elements with equal zero masks, each level's box
+walked once per process.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -298,6 +299,63 @@ def box_elements(level: int, bound: int, max_support: int = 2) -> list[BurnsideE
     ]
 
 
+# What box walks leave behind for later probes in the process: the zero
+# masks of a level's box per prime and its distinct zero-mask tuples per
+# prime set, least recently used first.  Every value is a tuple, and the
+# oldest entries go once all of them hold more than BOX_LIMIT items.
+_walks: OrderedDict = OrderedDict()
+
+
+def _remember(key, compute):
+    """The value cached under key, computed and stored on a miss."""
+    value = _walks.get(key)
+    if value is not None:
+        _walks.move_to_end(key)
+        return value
+    value = _walks[key] = compute()
+    while sum(map(len, _walks.values())) > BOX_LIMIT:
+        _walks.popitem(last=False)
+    return value
+
+
+def _zero_masks(h: int, bound: int, max_support: int, p: int) -> tuple[int, ...]:
+    """Per element of the level's box, in box order, the bitmask over the
+    ascending divisors of h of its marks that vanish mod p (exactly for
+    p = 0).  The marks are sums of columns of ``mark_table`` times the
+    coefficients; the box is walked again only after its entry is evicted."""
+
+    def walk():
+        divs = divisors(h)
+        table = mark_table(h)
+        # column j of the table times m: the marks of m * C_h/C_{divs[j]}
+        # (none at support 0, whose box is the zero element whatever the bound)
+        scaled = [
+            {m: [m * row[j] for row in table] for m in range(-bound, bound + 1)}
+            for j in range(len(divs) if max_support else 0)
+        ]
+        origin = [0] * len(divs)
+        bits = [1 << t for t in range(len(divs))]
+        zeros = []
+        for idx, ms in _box(len(divs), bound, max_support):
+            marks = map(sum, zip(origin, *(scaled[j][m] for j, m in zip(idx, ms))))
+            zeros.append(
+                sum(itertools.compress(bits, map(not_, map(p.__rmod__, marks) if p else marks)))
+            )
+        return tuple(zeros)
+
+    return _remember(("zeros", h, bound, max_support, p), walk)
+
+
+def _zero_classes(h: int, bound: int, max_support: int, primes: tuple[int, ...]):
+    """The distinct tuples, over the primes, of zero masks in the level's box."""
+    return _remember(
+        ("classes", h, bound, max_support, primes),
+        lambda: tuple(
+            dict.fromkeys(zip(*(_zero_masks(h, bound, max_support, p) for p in primes)))
+        ),
+    )
+
+
 def primality_probe(
     family,
     n: int | None = None,
@@ -306,15 +364,15 @@ def primality_probe(
 ) -> list[tuple[BurnsideElement, BurnsideElement]]:
     """Search for counterexamples to primality of the family.
 
-    Enumerates the box elements of every level h | n (coefficients in
+    Takes the box elements of every level h | n (coefficients in
     [-bound, bound], at most ``max_support`` of them nonzero), level by
     level in ``box_elements`` order, and returns every pair (a, b) with a
     not after b for which Q holds although neither element is a member.
     An empty result means no falsification at this scale, never a proof
-    of primality.  Before any level is enumerated, what the probe keeps is
-    checked against BOX_LIMIT: the elements of every level's box (it keeps
-    a record of each non-member) plus the d(n)**2 * (2*bound + 1) marks of
-    the top level's table ``scaled`` (none at support 0).
+    of primality.  Before any level or cached walk is read, what the probe
+    keeps is checked against BOX_LIMIT: the elements of every level's box
+    plus the d(n)**2 * (2*bound + 1) marks of the top level's table
+    ``scaled`` (none at support 0).
 
     Q is decided without computing a norm.  Q(a, b) asks that the mark at
     C_i of N_K^L res_K a * N_K'^L res_K' b vanish mod p for every spec
@@ -337,11 +395,16 @@ def primality_probe(
     non-member covers (c, p), no pair of non-members covers ``full``, and
     the result is always [].
 
-    Each box element is a coefficient tuple whose marks come from
-    ``mark_table``; only the elements of returned pairs are built.  The
-    non-members are grouped by mask, and Q is decided between the
-    distinct masks: when no two of them complete each other to ``full``,
-    the result is [] before any pair is formed.
+    An element's mask depends only on its zero masks, one per prime of
+    the family: which of its marks vanish mod p.  Each level's box is
+    walked once per process for each prime, and its distinct tuples of
+    zero masks, the classes, are kept; both go into one cache shared by
+    all probes, whose oldest entries are evicted once it holds more than
+    BOX_LIMIT values.  Q is decided between the masks of the non-member
+    classes, so when no two of them complete each other to ``full`` the
+    result is [] before any element is touched.  Otherwise the
+    non-members are expanded in box order, and each element of a
+    returned pair is built once.
     """
     n, specs = _family(family, n)
     levels = divisors(n)
@@ -355,33 +418,30 @@ def primality_probe(
     slots = sorted({(i, s.p) for s in specs for i in divisors(s.c)})
     full = (1 << len(slots)) - 1
     top = sum(1 << slots.index((s.c, s.p)) for s in specs)
-    primes = sorted({p for _, p in slots})
-    boxes, masks = [], []  # (level, divisors, indices, coefficients) and mask of each non-member
+    primes = tuple(sorted({p for _, p in slots}))
+    class_masks = {}  # per level, the mask of each non-member class
     for h in levels:
         divs = divisors(h)
-        table = mark_table(h)
         # (bit, prime position, divisors of gcd(i, h) as a bitmask over divs)
         needs = [
             (1 << bit, primes.index(p), sum(1 << t for t, j in enumerate(divs) if i % j == 0))
             for bit, (i, p) in enumerate(slots)
         ]
-        # column j of the table times m: the marks of m * C_h/C_{divs[j]}
-        # (none at support 0, whose box is the zero element whatever the bound)
-        scaled = [
-            {m: [m * row[j] for row in table] for m in range(-bound, bound + 1)}
-            for j in range(len(divs) if max_support else 0)
-        ]
-        origin = [0] * len(divs)
-        bits = [1 << t for t in range(len(divs))]
-        for idx, ms in _box(len(divs), bound, max_support):
-            marks = list(map(sum, zip(origin, *(scaled[j][m] for j, m in zip(idx, ms)))))
-            # per prime, the bitmask over divs of the marks that vanish mod p
-            zeros = [
-                sum(itertools.compress(bits, map(not_, map(p.__rmod__, marks) if p else marks)))
-                for p in primes
-            ]
-            mask = sum(bit for bit, q, need in needs if need & ~zeros[q] == 0)
-            if mask & top != top:
+        covered = {
+            z: sum(bit for bit, q, need in needs if need & ~z[q] == 0)
+            for z in _zero_classes(h, bound, max_support, primes)
+        }
+        class_masks[h] = {z: mask for z, mask in covered.items() if mask & top != top}
+    distinct = set().union(*(m.values() for m in class_masks.values()))
+    if not any(a | b == full for a in distinct for b in distinct):
+        return []
+    boxes, masks = [], []  # (level, divisors, indices, coefficients) and mask of each non-member
+    for h in levels:
+        divs = divisors(h)
+        zeros = zip(*(_zero_masks(h, bound, max_support, p) for p in primes))
+        for (idx, ms), z in zip(_box(len(divs), bound, max_support), zeros):
+            mask = class_masks[h].get(z)
+            if mask is not None:
                 boxes.append((h, divs, idx, ms))
                 masks.append(mask)
     classes: dict[int, list[int]] = {}
@@ -395,19 +455,13 @@ def primality_probe(
         )
         for mask in classes
     }
-    if not any(partners.values()):
-        return []
-    built: dict[int, BurnsideElement] = {}
-
-    def element(a: int) -> BurnsideElement:
-        if a not in built:
-            h, divs, idx, ms = boxes[a]
-            built[a] = BurnsideElement(h, {divs[j]: m for j, m in zip(idx, ms)})
-        return built[a]
-
+    elements = [
+        BurnsideElement(h, {divs[j]: m for j, m in zip(idx, ms)}) if partners[mask] else None
+        for (h, divs, idx, ms), mask in zip(boxes, masks)
+    ]
     found = []
     for a, mask in enumerate(masks):
         ixs = partners[mask]
-        for b in ixs[bisect_left(ixs, a):]:
-            found.append((element(a), element(b)))
+        partner = map(elements.__getitem__, ixs[bisect_left(ixs, a):])
+        found.extend(zip(itertools.repeat(elements[a]), partner))
     return found

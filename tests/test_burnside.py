@@ -294,6 +294,39 @@ def test_constructors_reject_non_int(make):
         make()
 
 
+def test_elements_are_read_only():
+    # each of these writes succeeded while coeffs and values were dicts:
+    # they changed the hash of an element already in a set, and the float
+    # mark reached unghost
+    x, v = B(6, {2: 1, 6: -3}), GhostVector(2, {1: 3, 2: 1})
+    held = {x, v}
+    with pytest.raises(TypeError):
+        v.values[1] = 1.5
+    with pytest.raises(TypeError):
+        v.values[2] = 0
+    with pytest.raises(TypeError):
+        x.coeffs[2] = 5
+    with pytest.raises(TypeError):
+        x.coeffs[3] = 1
+    with pytest.raises(TypeError):
+        del x.coeffs[6]
+    assert x == B(6, {2: 1, 6: -3}) and v == GhostVector(2, {1: 3, 2: 1})
+    assert x in held and v in held
+    assert unghost(v) == B(2, {1: 1, 2: 1})
+
+
+def test_read_only_views_print_and_hash_as_the_dicts_did():
+    x, v = B(6, {6: -3, 2: 1}), GhostVector(2, {2: 1, 1: 3})
+    assert repr(x) == "BurnsideElement(level=6, coeffs={2: 1, 6: -3})"
+    assert str(x) == "-3*C6/C6 + C6/C2"
+    assert repr(v) == "GhostVector(level=2, values={1: 3, 2: 1})"
+    assert hash(x) == hash((6, frozenset({2: 1, 6: -3}.items())))
+    assert hash(v) == hash((2, (3, 1)))
+    assert json.dumps(element_to_json(x)) == '{"level": 6, "coeffs": {"2": 1, "6": -3}}'
+    assert json.dumps(ghost_to_json(v)) == '{"level": 2, "marks": {"1": 3, "2": 1}}'
+    assert x.coeffs == {2: 1, 6: -3} and v.values == {1: 3, 2: 1}
+
+
 def test_ghost_is_ring_homomorphism_fuzz():
     rng = random.Random(20260809)
     for _ in range(300):

@@ -63,6 +63,7 @@ def test_reused_parser_leaks_no_state(capsys):
         (["spectrum", "-n", "12", "--format", "table"], "spectrum_n12_table.txt"),
         (["dress", "-n", "12", "--format", "table"], "dress_n12_table.txt"),
         (["dress", "-n", "12", "--format", "json"], "dress_n12.json"),
+        (["probe", "-n", "60"], "probe_n60.json"),
     ],
 )
 def test_output_matches_golden_file(capsys, argv, golden):

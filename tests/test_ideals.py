@@ -19,7 +19,7 @@ from tambara.ideals import (
 )
 from tambara.lattice import BudgetExceeded, CyclicGroupCtx, InvariantError, divisors
 from tambara.maps import norm, restrict, transfer
-from tambara.spectrum import default_primes, enumerate_spectrum
+from tambara.spectrum import contains, default_primes, enumerate_spectrum
 
 
 def B(level, coeffs):
@@ -417,6 +417,86 @@ def test_probe_matches_element_by_element_oracle(specs, bound, max_support):
     assert primality_probe(family, bound=bound, max_support=max_support) == expected
     if len(specs) > 1:
         assert expected  # the families are not prime, so the comparison is not vacuous
+
+
+def _probe_cases():
+    twelve = _canonical_points(12)[:6]
+    twenty = _canonical_points(20)[-6:]
+    family = [IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)]
+    other = [IdealSpec(20, 2, 2), IdealSpec(20, 5, 5)]
+    return [
+        case
+        for pair in zip(twelve, twenty, [family, other] * 3)
+        for case in pair
+    ]
+
+
+def _cold_probe(family):
+    ideals._walks.clear()
+    return primality_probe(family, bound=2)
+
+
+@pytest.mark.parametrize("limit", [None, 1000])
+def test_probe_results_do_not_depend_on_call_order(monkeypatch, limit):
+    # at limit 1000 the cache holds about two levels' worth of one prime's
+    # walks at n = 12, so walks are evicted and made again between calls
+    if limit:
+        monkeypatch.setattr(ideals, "BOX_LIMIT", limit)
+    cases = _probe_cases()
+    cold = [_cold_probe(f) for f in cases]
+    assert any(cold) and not all(cold)
+    for order in (cases, cases[::-1], cases):
+        warm = {id(f): primality_probe(f, bound=2) for f in order}
+        assert [warm[id(f)] for f in cases] == cold
+        assert sum(map(len, ideals._walks.values())) <= ideals.BOX_LIMIT
+
+
+def test_mutating_a_probe_result_changes_no_later_result():
+    family = [IdealSpec(12, 2, 2), IdealSpec(12, 3, 3)]
+    spec = IdealSpec(12, 2, 3)
+    expected = _cold_probe(family)
+    first, empty = primality_probe(family, bound=2), primality_probe(spec, bound=2)
+    first.reverse()
+    first.append(first[0])
+    empty.append(first[0])
+    assert primality_probe(family, bound=2) == expected
+    assert primality_probe(spec, bound=2) == []
+
+
+def test_lowered_limit_refuses_on_a_warm_cache(monkeypatch):
+    spec = IdealSpec(12, 1, 2)
+    assert primality_probe(spec, bound=2) == []
+    monkeypatch.setattr(ideals, "BOX_LIMIT", 300)
+    with pytest.raises(BudgetExceeded, match="674 elements"):
+        primality_probe(spec, bound=2)
+
+
+@pytest.mark.parametrize("n", [60, 360])
+def test_probe_cache_stays_within_the_limit(n):
+    ideals._walks.clear()
+    for spec in _canonical_points(n):
+        assert primality_probe(spec, bound=2) == [], spec.label
+        assert sum(map(len, ideals._walks.values())) <= ideals.BOX_LIMIT
+    assert all(type(v) is tuple for v in ideals._walks.values())
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_generators_outside_a_point_witness_non_containment(n):
+    # a is inside b iff every generator of a is a member of b; for
+    # incomparable points, witnesses each way satisfy Q although neither
+    # is in the intersection, so the intersection is not prime
+    points = _canonical_points(n)
+    gens = {a: [g for h in divisors(n) for g in level_generators(a, h)] for a in points}
+    incomparable = 0
+    for a in points:
+        for b in points:
+            outside = [g for g in gens[a] if not member(b, g)]
+            assert bool(outside) == (not contains(a, b)), (a.label, b.label)
+            if outside and not contains(b, a):
+                wb = next(g for g in gens[b] if not member(a, g))
+                assert q_check([a, b], outside[0], wb).holds, (a.label, b.label)
+                incomparable += 1
+    assert incomparable == {12: 138, 30: 488}[n]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12])

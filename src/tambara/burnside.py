@@ -3,9 +3,10 @@
 An element of A(C_h) is a formal integer combination of the transitive
 sets C_h/C_k for k | h, stored sparsely with zero coefficients dropped so
 that structural equality is mathematical equality.  Marks (fixed-point
-counts) embed A(C_h) into the ghost ring prod_{i|h} Z; ``unghost``
-inverts the embedding by a descending recursion over the divisor lattice,
-with an exact integrality check recognizing the image.  It is the
+counts) embed A(C_h) into the ghost ring prod_{i|h} Z.  ``marks`` is the
+one route to many marks at once: a single pass over the support.
+``unghost`` inverts the embedding with one difference per prime factor
+of h, and an exact integrality check recognizes the image.  It is the
 package's one inversion: the norm, fixed by its marks, is read back
 through it too.
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-from .lattice import divisors, require_divides, check_prime_or_zero
+from .lattice import check_prime_or_zero, divisors, factorize, require_divides
 
 
 class NotInGhostImage(ValueError):
@@ -235,32 +236,47 @@ class GhostVector:
         return f"GhostVector(level={self.level}, values={dict(self.values)})"
 
 
+def marks(x: BurnsideElement, g: int) -> dict[int, int]:
+    """The marks of x at every divisor i of g (g | level), ascending, from
+    one pass over the support: the orbit C_h/C_k adds (h/k) * m_k to the
+    mark at each i | gcd(k, g)."""
+    h = x.level
+    require_divides(g, h, "mark subgroup")
+    out = dict.fromkeys(divisors(g), 0)
+    for k, m in x.coeffs.items():
+        c = (h // k) * m
+        for i in divisors(gcd(k, g)):
+            out[i] += c
+    return out
+
+
 def ghost(x: BurnsideElement) -> GhostVector:
     """The injective mark embedding: all marks of x at once."""
-    return GhostVector(x.level, {i: x.mark(i) for i in divisors(x.level)})
+    return GhostVector(x.level, marks(x, x.level))
 
 
 def unghost(v: GhostVector) -> BurnsideElement:
     """Invert the mark embedding.
 
     The mark at C_k is the sum of c_l = m_l * (h/l) over the l | h that k
-    divides, so in descending order c_k = v[k] - sum of c_l over the
-    proper multiples l of k.  Then m_j = c_j / (h/j) in ascending order;
-    every division must be exact, otherwise v is not the ghost of any
-    element and NotInGhostImage names the first divisor that fails.
+    divides.  That sum runs over each prime factor q of h independently,
+    so it is undone one prime at a time: c_k -= c_{kq} for ascending k
+    with kq | h.  Then m_j = c_j / (h/j) in ascending order; every
+    division must be exact, otherwise v is not the ghost of any element
+    and NotInGhostImage names the first divisor that fails.
     """
     h = v.level
-    divs = divisors(h)
-    c: dict[int, int] = {}
-    for k in reversed(divs):
-        # c holds exactly the divisors above k so far
-        c[k] = v.values[k] - sum(cl for l, cl in c.items() if l % k == 0)
+    c = dict(v.values)
+    for q, _ in factorize(h):
+        for k in c:
+            if (h // k) % q == 0:
+                c[k] -= c[k * q]
     coeffs = {}
-    for j in divs:
-        q, r = divmod(c[j], h // j)
+    for j, cj in c.items():
+        q, r = divmod(cj, h // j)
         if r:
             raise NotInGhostImage(
-                j, f"not a ghost vector: m_{j} = {c[j]}/{h // j} is not an integer"
+                j, f"not a ghost vector: m_{j} = {cj}/{h // j} is not an integer"
             )
         if q:
             coeffs[j] = q

@@ -113,16 +113,7 @@ def induce(s: ConcreteGSet, h: int) -> ConcreteGSet:
     wrapping through the original action."""
     k = s.level
     require_divides(k, h, "induction target")
-    q = h // k
-    size = s.size
-    perm = []
-    for r in range(q):
-        for x in range(size):
-            if r + 1 < q:
-                perm.append((r + 1) * size + x)
-            else:
-                perm.append(s.perm[x])
-    return ConcreteGSet(h, tuple(perm))
+    return ConcreteGSet(h, tuple(range(s.size, h // k * s.size)) + s.perm)
 
 
 def product(s: ConcreteGSet, t: ConcreteGSet) -> ConcreteGSet:
@@ -161,9 +152,6 @@ def map_set(
         )
     if size == 0:
         return ConcreteGSet(h, ())
-    msd = size ** (q - 1)
-    perm = []
-    for idx in range(total):
-        first, rest = divmod(idx, msd)
-        perm.append(rest * size + x.perm[first])
-    return ConcreteGSet(h, tuple(perm))
+    # map first * size**(q-1) + rest goes to rest * size + x.perm[first]
+    rests = range(0, total, size)  # rest * size, for every rest
+    return ConcreteGSet(h, tuple(rest + image for image in x.perm for rest in rests))

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, gcd
 from operator import not_
 
-from .burnside import BurnsideElement, from_vector, mark_table, to_vector
+from .burnside import BurnsideElement, from_vector, mark_table, marks, to_vector
 from .intlattice import hnf, in_row_span, is_sublattice, preimage_mod
 from .lattice import (
     BudgetExceeded,
@@ -63,7 +63,8 @@ def member(spec: IdealSpec, x: BurnsideElement) -> bool:
     of gcd(h, c) vanishes mod p (exactly, for p = 0)."""
     h = x.level
     require_divides(h, spec.n, "element level")
-    return all(x.mark_mod(i, spec.p) == 0 for i in divisors(gcd(h, spec.c)))
+    below = marks(x, gcd(h, spec.c)).values()
+    return not any(map(spec.p.__rmod__, below) if spec.p else below)
 
 
 def psi(x: BurnsideElement, c: int, j: int) -> int:
@@ -105,10 +106,7 @@ def level_generators(spec: IdealSpec, h: int) -> list[BurnsideElement]:
         for k in members:
             if k == mj:
                 continue
-            gens.append(
-                BurnsideElement.transitive(h, k)
-                - (mj // k) * BurnsideElement.transitive(h, mj)
-            )
+            gens.append(BurnsideElement(h, {k: 1, mj: -(mj // k)}))
     for g in gens:
         if not member(spec, g):
             raise InvariantError(f"generator {g} is not a member of {spec.label}")
@@ -286,16 +284,22 @@ def _box(d: int, bound: int, max_support: int):
                 yield idx, ms
 
 
-def box_elements(level: int, bound: int, max_support: int = 2) -> list[BurnsideElement]:
-    """All elements at the level with at most ``max_support`` nonzero
-    coefficients, each in [-bound, bound]; the box's size is checked
+def box_terms(level: int, bound: int, max_support: int = 2):
+    """The box of ``box_elements`` as (orbits, coefficients) pairs, in the
+    same order and before any element is built; the box's size is checked
     against BOX_LIMIT first."""
     divs = divisors(level)
     count = _box_size(len(divs), bound, max_support)
     _check_budget(count, f"a box of {count} elements over {len(divs)} orbits")
+    return (([divs[j] for j in idx], ms) for idx, ms in _box(len(divs), bound, max_support))
+
+
+def box_elements(level: int, bound: int, max_support: int = 2) -> list[BurnsideElement]:
+    """All elements at the level with at most ``max_support`` nonzero
+    coefficients, each in [-bound, bound], in the order of ``box_terms``."""
     return [
-        BurnsideElement(level, {divs[j]: m for j, m in zip(idx, ms)})
-        for idx, ms in _box(len(divs), bound, max_support)
+        BurnsideElement(level, dict(zip(orbits, ms)))
+        for orbits, ms in box_terms(level, bound, max_support)
     ]
 
 

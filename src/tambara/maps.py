@@ -4,7 +4,8 @@ is the identity, since the group is abelian, and has no function here.
 
 The norm is the hard map.  It is fixed by its marks: the mark of N(X)
 at C_i is the mark of X at C_gcd(i,k) raised to the power h/lcm(i,k).
-``norm`` computes those powers and reads the element back through
+``norm`` computes the marks of X once, at the divisors of its level k,
+raises each to those powers and reads the element back through
 ``burnside.unghost``, the package's one inversion of the marks, whose
 integrality check must pass.  ``norm_ghost`` is the same map on ghost
 vectors, the cross-check that the tests and the benchmark hold ``norm`` to.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .burnside import BurnsideElement, GhostVector, NotInGhostImage, unghost
+from .burnside import BurnsideElement, GhostVector, NotInGhostImage, marks, unghost
 from .lattice import InvariantError, divisors, require_divides
 
 
@@ -47,12 +48,13 @@ def norm(x: BurnsideElement, h: int) -> BurnsideElement:
     """Multiplicative induction from level k up to level h (k | h)."""
     k = x.level
     require_divides(k, h, "norm target")
-    marks = {}
+    below = marks(x, k)
+    powers = {}
     for kappa in divisors(h):
-        lcm = kappa * k // gcd(kappa, k)
-        marks[kappa] = x.mark(gcd(kappa, k)) ** (h // lcm)
+        g = gcd(kappa, k)
+        powers[kappa] = below[g] ** (h * g // (kappa * k))
     try:
-        return unghost(GhostVector(h, marks))
+        return unghost(GhostVector(h, powers))
     except NotInGhostImage as err:
         raise InvariantError(f"norm of {x} to C_{h}: {err}") from err
 

@@ -16,6 +16,8 @@ from tambara.burnside import (
     ghost,
     ghost_from_json,
     ghost_to_json,
+    mark_table,
+    marks,
     to_vector,
     unghost,
 )
@@ -154,6 +156,23 @@ def test_mark_agrees_with_fixed_point_oracle_on_transitives():
             s = realize(x)
             for i in divisors(h):
                 assert x.mark(i) == fixed_points(s, i)
+
+
+@pytest.mark.parametrize("h", [1, 12, 360, 5040, 20160, 55440])
+def test_one_pass_marks_equal_each_mark_and_the_mark_table(h):
+    # oracles: x.mark(i), one sum per divisor, and the mark table's rows
+    # times the coefficient vector
+    rng = random.Random(h)
+    divs = divisors(h)
+    for density in (0.05, 0.3, 1.0):
+        x = random_element(rng, h, bound=10**6, density=density)
+        v = to_vector(x)
+        by_table = {i: sum(map(int.__mul__, row, v)) for i, row in zip(divs, mark_table(h))}
+        assert marks(x, h) == {i: x.mark(i) for i in divs} == by_table
+        for g in rng.sample(divs, min(4, len(divs))):
+            assert marks(x, g) == {i: by_table[i] for i in divisors(g)}
+    with pytest.raises(ValueError):
+        marks(B(6, {2: 1}), 4)
 
 
 def test_unghost_examples():

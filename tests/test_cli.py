@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tambara import ideals
+from tambara import cli, ideals
 from tambara.burnside import BurnsideElement, element_from_json
 from tambara.cli import build_parser, integer, parse_element, parse_spec, run
 from tambara.maps import norm
@@ -152,6 +152,41 @@ def test_norm_beyond_the_int_to_str_digit_limit_prints(capsys):
         assert x.mark(i) == 3 ** (20160 // i)
 
 
+def test_cli_reads_back_its_own_norm(capsys):
+    # the norm has coefficients of 9,615 digits; ghost must parse them
+    code, out, err = invoke(
+        capsys, "map", "--op", "norm", "--from", "1", "--to", "20160",
+        "--element", '{"level":1,"coeffs":{"1":3}}',
+    )
+    assert code == 0, err
+    code, out, err = invoke(capsys, "ghost", "--element", out)
+    assert code == 0, err
+    doc = cli._any_length(json.loads, out)
+    assert doc["level"] == 20160
+    for i in (1, 7, 96, 20160):
+        assert doc["marks"][str(i)] == 3 ** (20160 // i)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_json_integers_are_capped_in_digits(capsys, sign):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    at_cap = sign + "7" * cli.MAX_INPUT_DIGITS
+    code, out, err = invoke(capsys, "ghost", "--element", f'{{"level":1,"coeffs":{{"1":{at_cap}}}}}')
+    assert code == 0, err
+    assert out == f'{{"level": 1, "marks": {{"1": {at_cap}}}}}\n'
+    for argv in (
+        ["ghost", "--element", f'{{"level":1,"coeffs":{{"1":{at_cap}7}}}}'],
+        ["unghost", "--vector", f'{{"level":1,"marks":{{"1":{at_cap}7}}}}'],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "BudgetExceeded"
+        assert f"{cli.MAX_INPUT_DIGITS + 1} digits" in payload["message"]
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_map_level_mismatch_is_domain_error(capsys):
     code, out, err = invoke(
         capsys, "map", "--op", "res", "--from", "4", "--to", "2", "--element", "t3@6"
@@ -217,12 +252,50 @@ def test_probe_box_past_a_lowered_limit_exits_1(capsys, monkeypatch):
 
 
 def test_oracle_commands(capsys):
-    expected = {"6": (171, 81, 36), "12": (666, 258, 81)}
+    expected = {
+        "6": (171, 81, 36),
+        "12": (666, 258, 81),
+        "30": (1485, 459, 106),
+        "60": (5886, 1494, 230),
+    }
     for n, counts in expected.items():
         for check, cases in zip(("marks", "transfers", "norms"), counts):
             code, out, _ = invoke(capsys, "oracle", "--check", check, "-n", n)
             assert code == 0
             assert out == f"{check}: OK ({cases} cases)\n"
+
+
+# one element of each oracle's box at n = 30: realizable, and of size at most 4 for norms
+WRONG_ON = BurnsideElement(6, {2: 1, 3: 2}), BurnsideElement(2, {1: 1})
+
+
+def _off_by_unit(out, h):
+    return out + BurnsideElement.unit(h)
+
+
+@pytest.mark.parametrize(
+    "check, target, formula, element, spoil",
+    [
+        ("marks", BurnsideElement, "mark", WRONG_ON[0], lambda out, i: out + 1),
+        ("transfers", cli, "transfer", WRONG_ON[0], _off_by_unit),
+        ("norms", cli, "norm", WRONG_ON[1], _off_by_unit),
+    ],
+    ids=["marks", "transfers", "norms"],
+)
+def test_oracle_catches_a_formula_wrong_on_one_element(
+    capsys, monkeypatch, check, target, formula, element, spoil
+):
+    right = getattr(target, formula)
+
+    def wrong(x, arg):
+        out = right(x, arg)
+        return spoil(out, arg) if x == element else out
+
+    monkeypatch.setattr(target, formula, wrong)
+    code, out, err = invoke(capsys, "oracle", "--check", check, "-n", "30")
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvariantError" and str(element) in payload["message"]
 
 
 def test_dress_command(capsys):
@@ -247,6 +320,9 @@ def test_dress_command(capsys):
         ["ghost", "--element", '{"level":12,"coeffs":{"١٢":1}}'],
         ["unghost", "--vector", '{"level":12,"marks":{"1":1,"2":1,"3":1,"4":1,"6":1,"1_2":1}}'],
         ["unghost", "--vector", '{"level":12,"marks":{"1":1,"2":1,"3":1,"4":1,"6":1,"١٢":1}}'],
+        # nested past the recursion limit
+        ["ghost", "--element", "[" * 100_000 + "]" * 100_000],
+        ["unghost", "--vector", '{"level":1,"marks":' + "[" * 100_000 + "]" * 100_000 + "}"],
     ],
 )
 def test_malformed_json_input_exit_1(capsys, argv):

@@ -17,7 +17,7 @@ from tambara.ideals import (
     q_check,
     ring_ideal_lattice,
 )
-from tambara.lattice import BudgetExceeded, CyclicGroupCtx, InvariantError, divisors
+from tambara.lattice import BudgetExceeded, CyclicGroupCtx, InvariantError, divisors, require_divides
 from tambara.maps import norm, restrict, transfer
 from tambara.spectrum import contains, default_primes, enumerate_spectrum
 
@@ -64,6 +64,29 @@ def test_member_uses_gcd_levels():
     y = B(6, {2: 1}) - 3 * BurnsideElement.unit(6)
     # marks of y: (0,0,-3,-3); vanish at divisors of 2
     assert member(spec, y)
+
+
+def member_by_mark_mod(spec, x):
+    """The oracle for ``member``: one ``mark_mod`` per divisor of gcd(h, c)."""
+    h = x.level
+    require_divides(h, spec.n, "element level")
+    return all(x.mark_mod(i, spec.p) == 0 for i in divisors(gcd(h, spec.c)))
+
+
+@pytest.mark.parametrize("n", [60, 360, 5040])
+def test_member_equals_the_mark_mod_oracle(n):
+    # every generator at the top level and at one other level of every
+    # spec, which are members, and random elements and their multiples
+    rng = random.Random(n)
+    divs = divisors(n)
+    for c in divs:
+        for p in (0, 2, 3, 5, 7):
+            spec = IdealSpec(n, c, p)
+            for h in (n, rng.choice(divs)):
+                x = random_element(rng, h)
+                gens = level_generators(spec, h)
+                for y in gens + [x] + [x * g for g in gens[:2]]:
+                    assert member(spec, y) == member_by_mark_mod(spec, y)
 
 
 def test_psi_examples():

@@ -255,6 +255,15 @@ def ghost(x: BurnsideElement) -> GhostVector:
     return GhostVector(x.level, marks(x, x.level))
 
 
+def _show(n: int) -> str:
+    """str(n), or n's bit length when n is past the interpreter's
+    int-to-str limit, so that an error message can always be built."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
+
+
 def unghost(v: GhostVector) -> BurnsideElement:
     """Invert the mark embedding.
 
@@ -276,7 +285,7 @@ def unghost(v: GhostVector) -> BurnsideElement:
         q, r = divmod(cj, h // j)
         if r:
             raise NotInGhostImage(
-                j, f"not a ghost vector: m_{j} = {cj}/{h // j} is not an integer"
+                j, f"not a ghost vector: m_{j} = {_show(cj)}/{h // j} is not an integer"
             )
         if q:
             coeffs[j] = q

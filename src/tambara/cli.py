@@ -63,22 +63,24 @@ from .spectrum import (
 # time quadratic in its length, about 50 ms at this cap (CPython 3.11 on
 # a 2-vCPU host); a norm the CLI prints (level 1 to 20160 from 3) has 9,615.
 MAX_INPUT_DIGITS = 100_000
+# A JSON level is held to the interpreter's default int-to-str limit, as a
+# level on the command line is: its factorization comes before any other
+# check, and trial division costs time linear in its length per divisor.
+MAX_LEVEL_DIGITS = 4300
+_LEVEL_BOUND = 10**MAX_LEVEL_DIGITS
 
 
 def _any_length(convert, value):
-    """convert(value), run again with the interpreter's int-to-str limit
-    (4,300 digits by default) lifted if an int exceeded it, as a norm or a
-    mark easily does; the limit is restored afterwards."""
+    """convert(value) with the interpreter's int-to-str limit (4,300 digits
+    by default) lifted, as a norm or a mark easily exceeds it; the limit is
+    restored afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return convert(value)
-    except ValueError:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if not limit:  # no limit was in force: another error
-            raise
-        sys.set_int_max_str_digits(0)
-        try:
-            return convert(value)
-        finally:
+    finally:
+        if limit is not None:
             sys.set_int_max_str_digits(limit)
 
 
@@ -88,7 +90,7 @@ def _json_int(text: str) -> int:
     digits = len(text) - text.startswith("-")
     if digits > MAX_INPUT_DIGITS:
         raise BudgetExceeded(f"JSON integer of {digits} digits, cap is {MAX_INPUT_DIGITS}")
-    return _any_length(int, text)
+    return int(text)
 
 
 # Decodes JSON input; built once, since json.loads(text, parse_int=...)
@@ -97,12 +99,18 @@ _JSON_INPUT = json.JSONDecoder(parse_int=_json_int)
 
 
 def _load_json(text: str):
-    """Decode JSON input; nesting past the interpreter's recursion limit
-    is bad input, a ValueError."""
+    """Decode an element's or a ghost vector's JSON, whose integers may be
+    of any length up to MAX_INPUT_DIGITS digits.  Nesting past the
+    interpreter's recursion limit is bad input, a ValueError; a level of
+    more than MAX_LEVEL_DIGITS digits raises BudgetExceeded."""
     try:
-        return _JSON_INPUT.decode(text)
+        obj = _any_length(_JSON_INPUT.decode, text)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+    level = obj.get("level") if isinstance(obj, dict) else None
+    if type(level) is int and abs(level) >= _LEVEL_BOUND:
+        raise BudgetExceeded(f"JSON level of more than {MAX_LEVEL_DIGITS} digits")
+    return obj
 
 
 def parse_element(text: str) -> BurnsideElement:
@@ -251,33 +259,45 @@ def cmd_probe(args) -> int:
     return 0
 
 
+def _box_gsets(level: int, max_support: int):
+    """(x, realize(x)) for the genuine G-sets x of the oracle box at a
+    level (coefficients at most 2, at most max_support orbits), in box
+    order; terms with a negative coefficient are skipped before any
+    element is built."""
+    for orbits, ms in box_terms(level, 2, max_support):
+        if all(m >= 0 for m in ms):
+            x = BurnsideElement(level, dict(zip(orbits, ms)))
+            yield x, realize(x)
+
+
 def cmd_oracle(args) -> int:
-    # Level by level, the box's genuine G-sets (no negative coefficient,
-    # skipped before any element is built) are streamed in box order and
-    # each is realized once, then checked at every target level h; only
-    # one realized set is alive at a time.
-    check, levels = args.check, divisors(args.n)
+    # Each level's box is walked once and each G-set realized once, then
+    # checked at every target level h it divides; only one realized set is
+    # alive at a time.
+    levels = divisors(args.n)
     cases = 0
-    for k in levels:
-        targets = [k] if check == "marks" else [h for h in levels if h % k == 0]
-        for orbits, ms in box_terms(k, 2, 1 if check == "norms" else 2):
-            if min(ms, default=1) < 0:
-                continue
-            x = BurnsideElement(k, dict(zip(orbits, ms)))
-            s = realize(x)
-            if check == "norms" and s.size > 4:
-                continue
-            for h in targets:
-                if check == "marks":
-                    for i in divisors(h):
-                        if fixed_points(s, i) != x.mark(i):
-                            raise InvariantError(f"mark mismatch at {x}, C_{i}")
-                        cases += 1
-                elif check == "transfers":
+    if args.check == "marks":
+        for h in levels:
+            for x, s in _box_gsets(h, 2):
+                for i in divisors(h):
+                    if fixed_points(s, i) != x.mark(i):
+                        raise InvariantError(f"mark mismatch at {x}, C_{i}")
+                    cases += 1
+    elif args.check == "transfers":
+        for k in levels:
+            targets = [h for h in levels if h % k == 0]
+            for x, s in _box_gsets(k, 2):
+                for h in targets:
                     if decompose(induce(s, h)) != transfer(x, h):
                         raise InvariantError(f"transfer mismatch at {x} -> C_{h}")
                     cases += 1
-                else:
+    else:
+        for k in levels:
+            targets = [h for h in levels if h % k == 0]
+            for x, s in _box_gsets(k, 1):
+                if s.size > 4:
+                    continue
+                for h in targets:
                     try:
                         oracle = decompose(map_set(h, k, s))
                     except BudgetExceeded:
@@ -285,7 +305,7 @@ def cmd_oracle(args) -> int:
                     if oracle != norm(x, h):
                         raise InvariantError(f"norm mismatch at {x} -> C_{h}")
                     cases += 1
-    print(f"{check}: OK ({cases} cases)")
+    print(f"{args.check}: OK ({cases} cases)")
     return 0
 
 

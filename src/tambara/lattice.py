@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 
 class InvariantError(AssertionError):
@@ -23,6 +23,8 @@ class BudgetExceeded(RuntimeError):
 
 
 TRIAL_DIVISION_LIMIT = 10**6
+# The most divisors a group order may have; 55440 has 120.
+DIVISOR_LIMIT = 10**4
 _DIVISORS: dict[int, tuple[int, ...]] = {}
 
 
@@ -30,15 +32,22 @@ def divisors(n: int) -> list[int]:
     """All divisors of n, ascending: built once per n from its
     factorization, returned as a fresh list.  An n that is not exactly an
     int raises TypeError before the cache is read, so 12.0 and True never
-    hit the entries of 12 and 1."""
+    hit the entries of 12 and 1.  More than DIVISOR_LIMIT divisors, counted
+    from the factorization, raise BudgetExceeded before any is built."""
     if type(n) is not int:
         raise TypeError(f"group order must be an int, got {n!r}")
     divs = _DIVISORS.get(n)
     if divs is None:
         if n < 1:
             raise ValueError(f"group order must be a positive integer, got {n}")
+        factors = factorize(n)
+        count = prod(e + 1 for _, e in factors)
+        if count > DIVISOR_LIMIT:
+            raise BudgetExceeded(
+                f"a group order with {count} divisors, DIVISOR_LIMIT is {DIVISOR_LIMIT}"
+            )
         out = [1]
-        for p, e in factorize(n):
+        for p, e in factors:
             out = [d * p**k for d in out for k in range(e + 1)]
         divs = _DIVISORS[n] = tuple(sorted(out))
     return list(divs)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tambara import cli, ideals
+from tambara import cli, ideals, lattice
 from tambara.burnside import BurnsideElement, element_from_json
 from tambara.cli import build_parser, integer, parse_element, parse_spec, run
 from tambara.maps import norm
@@ -185,6 +185,54 @@ def test_json_integers_are_capped_in_digits(capsys, sign):
         assert f"{cli.MAX_INPUT_DIGITS + 1} digits" in payload["message"]
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
+
+
+def _refuse_factorizing(n):
+    raise AssertionError(f"factorized a {n.bit_length()}-bit level")
+
+
+@pytest.mark.parametrize(
+    "level",
+    [
+        "1" + "0" * cli.MAX_LEVEL_DIGITS,  # smooth: 10**4300
+        "1" + "0" * 99_000 + "1",  # past the level cap, factored by no small prime
+    ],
+    ids=["smooth", "unfactored"],
+)
+def test_json_level_past_its_cap_is_refused_before_factorizing(capsys, monkeypatch, level):
+    monkeypatch.setattr(lattice, "factorize", _refuse_factorizing)
+    for argv in (
+        ["ghost", "--element", f'{{"level":{level},"coeffs":{{}}}}'],
+        ["unghost", "--vector", f'{{"level":{level},"marks":{{}}}}'],
+        ["member", "-n", "12", "--spec", "c=2,p=2", "--element", f'{{"level":{level},"coeffs":{{}}}}'],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "BudgetExceeded"
+        assert f"more than {cli.MAX_LEVEL_DIGITS} digits" in payload["message"]
+
+
+def test_json_level_with_too_many_divisors_is_refused(capsys):
+    # 10**4299 has MAX_LEVEL_DIGITS digits and 4300**2 divisors
+    level = "1" + "0" * (cli.MAX_LEVEL_DIGITS - 1)
+    for argv in (
+        ["ghost", "--element", f'{{"level":{level},"coeffs":{{}}}}'],
+        ["unghost", "--vector", f'{{"level":{level},"marks":{{}}}}'],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "BudgetExceeded" and "18490000 divisors" in payload["message"]
+
+
+def test_unghost_names_the_divisor_of_a_long_odd_mark(capsys):
+    mark = "7" * 5000
+    code, out, err = invoke(capsys, "unghost", "--vector", f'{{"level":2,"marks":{{"1":{mark},"2":0}}}}')
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "NotInGhostImage"
+    assert payload["message"].startswith("not a ghost vector: m_1 = <")
 
 
 def test_map_level_mismatch_is_domain_error(capsys):

@@ -3,6 +3,7 @@ from dataclasses import fields
 import pytest
 
 from tambara.lattice import (
+    DIVISOR_LIMIT,
     BudgetExceeded,
     CyclicGroupCtx,
     check_prime_or_zero,
@@ -67,6 +68,13 @@ def test_trial_division_stops_at_its_limit(low_trial_limit):
     assert factorize(2**200 * 3) == ((2, 200), (3, 1))
     assert is_prime(97) and not is_prime(91)
     assert divisors(97 * 89) == [1, 89, 97, 97 * 89]
+
+
+def test_divisor_count_is_budgeted_before_any_divisor_is_built():
+    assert len(divisors(2**99 * 3**99)) == DIVISOR_LIMIT  # 100 * 100 divisors
+    for n in (2**100 * 3**99, 10**4299):
+        with pytest.raises(BudgetExceeded, match="DIVISOR_LIMIT"):
+            divisors(n)
 
 
 def test_is_prime_small():

@@ -260,14 +260,11 @@ def cmd_probe(args) -> int:
 
 
 def _box_gsets(level: int, max_support: int):
-    """(x, realize(x)) for the genuine G-sets x of the oracle box at a
-    level (coefficients at most 2, at most max_support orbits), in box
-    order; terms with a negative coefficient are skipped before any
-    element is built."""
-    for orbits, ms in box_terms(level, 2, max_support):
-        if all(m >= 0 for m in ms):
-            x = BurnsideElement(level, dict(zip(orbits, ms)))
-            yield x, realize(x)
+    """(x, realize(x)) for the G-sets x of the oracle box at a level
+    (coefficients 1 or 2 on at most max_support orbits), in box order."""
+    for orbits, ms in box_terms(level, (1, 2), max_support):
+        x = BurnsideElement(level, dict(zip(orbits, ms)))
+        yield x, realize(x)
 
 
 def cmd_oracle(args) -> int:

@@ -75,19 +75,24 @@ def check_prime_or_zero(p: int) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, exponent), ...), p ascending.
 
-    The package's one trial-division loop.  Trial divisors stop at
-    TRIAL_DIVISION_LIMIT, so every n below its square factors, and a
-    larger cofactor without a small factor raises BudgetExceeded.
+    The package's one trial-division loop.  A trial divisor costs about
+    one step while the cofactor has at most 512 bits and one step per 512
+    bits beyond, so trial divisors stop at TRIAL_DIVISION_LIMIT over the
+    cofactor's count of 512-bit blocks (at least one), set anew as the
+    cofactor shrinks.  Every n below the square of the limit factors; a
+    long cofactor without a factor small enough for its length raises
+    BudgetExceeded early.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out = []
     d = 2
+    stop = TRIAL_DIVISION_LIMIT // max(1, n.bit_length() // 512)
     while d * d <= n:
-        if d > TRIAL_DIVISION_LIMIT:
+        if d > stop:
             raise BudgetExceeded(
-                f"factorizing needs trial divisors past {TRIAL_DIVISION_LIMIT} "
-                f"for a {n.bit_length()}-bit cofactor"
+                f"trial division of a {n.bit_length()}-bit cofactor past divisor {stop} "
+                f"exceeds TRIAL_DIVISION_LIMIT = {TRIAL_DIVISION_LIMIT}"
             )
         if n % d == 0:
             e = 0
@@ -95,6 +100,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 n //= d
                 e += 1
             out.append((d, e))
+            stop = TRIAL_DIVISION_LIMIT // max(1, n.bit_length() // 512)
         d += 1
     if n > 1:
         out.append((n, 1))

@@ -213,6 +213,14 @@ def test_json_level_past_its_cap_is_refused_before_factorizing(capsys, monkeypat
         assert f"more than {cli.MAX_LEVEL_DIGITS} digits" in payload["message"]
 
 
+def test_long_level_without_small_factors_is_refused_early(capsys):
+    level = 1000003**700  # 4,201 digits, under every input cap
+    code, out, err = invoke(capsys, "ghost", "--element", f'{{"level":{level},"coeffs":{{}}}}')
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BudgetExceeded" and "past divisor 37037 " in payload["message"]
+
+
 def test_json_level_with_too_many_divisors_is_refused(capsys):
     # 10**4299 has MAX_LEVEL_DIGITS digits and 4300**2 divisors
     level = "1" + "0" * (cli.MAX_LEVEL_DIGITS - 1)

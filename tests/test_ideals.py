@@ -455,14 +455,26 @@ def _probe_cases():
 
 
 def _cold_probe(family):
-    ideals._walks.clear()
+    ideals._walk.cache_clear()
     return primality_probe(family, bound=2)
+
+
+def _assert_walk_within_the_limit(family):
+    # the walk of the family's probe, still the cached one, read back by a call that hits
+    hits = ideals._walk.cache_info().hits
+    walk = ideals._walk(family[0].n, 2, 2, tuple(sorted({s.p for s in family})))
+    assert ideals._walk.cache_info().hits == hits + 1
+    assert sum(len(ids) for *_, ids in walk) <= ideals.BOX_LIMIT
+    assert all(type(z) is tuple for _, _, zeros, _ in walk for z in zeros)
+    # each distinct tuple of zero masks is kept once
+    assert all(len(set(zeros)) == len(zeros) == max(ids) + 1 for _, _, zeros, ids in walk)
 
 
 @pytest.mark.parametrize("limit", [None, 1000])
 def test_probe_results_do_not_depend_on_call_order(monkeypatch, limit):
-    # at limit 1000 the cache holds about two levels' worth of one prime's
-    # walks at n = 12, so walks are evicted and made again between calls
+    # the families at n = 12 and n = 20 take turns, so each of their
+    # probes replaces the one cached walk; at limit 1000 each probe keeps
+    # 674 of the allowed elements
     if limit:
         monkeypatch.setattr(ideals, "BOX_LIMIT", limit)
     cases = _probe_cases()
@@ -471,7 +483,7 @@ def test_probe_results_do_not_depend_on_call_order(monkeypatch, limit):
     for order in (cases, cases[::-1], cases):
         warm = {id(f): primality_probe(f, bound=2) for f in order}
         assert [warm[id(f)] for f in cases] == cold
-        assert sum(map(len, ideals._walks.values())) <= ideals.BOX_LIMIT
+        _assert_walk_within_the_limit(next(f for f in order[::-1] if isinstance(f, list)))
 
 
 def test_mutating_a_probe_result_changes_no_later_result():
@@ -487,23 +499,57 @@ def test_mutating_a_probe_result_changes_no_later_result():
 
 
 def test_lowered_limit_refuses_on_a_warm_cache(monkeypatch):
-    spec = IdealSpec(12, 1, 2)
-    assert primality_probe(spec, bound=2) == []
+    family = [IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)]
+    assert primality_probe(family, bound=2)
     monkeypatch.setattr(ideals, "BOX_LIMIT", 300)
     with pytest.raises(BudgetExceeded, match="674 elements"):
-        primality_probe(spec, bound=2)
+        primality_probe(family, bound=2)
 
 
 @pytest.mark.parametrize("n", [60, 360])
 def test_probe_cache_stays_within_the_limit(n):
-    ideals._walks.clear()
-    for spec in _canonical_points(n):
-        assert primality_probe(spec, bound=2) == [], spec.label
-        assert sum(map(len, ideals._walks.values())) <= ideals.BOX_LIMIT
-    assert all(type(v) is tuple for v in ideals._walks.values())
+    # each point with a comparable point: the intersection is the smaller
+    # one, which is prime, so the probe walks and finds nothing; sorted by
+    # prime set, the families of one set share one walk
+    points = _canonical_points(n)
+    families = []
+    for a in points:
+        b = next(b for b in points if b != a and (contains(a, b) or contains(b, a)))
+        families.append([a, b])
+    families.sort(key=lambda f: sorted({s.p for s in f}))
+    ideals._walk.cache_clear()
+    for family in families:
+        assert primality_probe(family, bound=2) == [], [s.label for s in family]
+        _assert_walk_within_the_limit(family)
+    assert ideals._walk.cache_info().misses < len(families)
 
 
-@pytest.mark.parametrize("n", [12, 30])
+def test_two_point_families_at_12_are_prime_iff_comparable():
+    # comparable points intersect in the smaller one, a prime; the bound-2
+    # box finds witnesses for 48 of the 69 incomparable pairs
+    points = _canonical_points(12)
+    comparable = witnessed = 0
+    for i, a in enumerate(points):
+        for b in points[i + 1 :]:
+            pairs = primality_probe([a, b], bound=2)
+            if contains(a, b) or contains(b, a):
+                assert pairs == [], (a.label, b.label)
+                comparable += 1
+            else:
+                witnessed += bool(pairs)
+    assert (len(points), comparable, witnessed) == (17, 67, 48)
+
+
+def test_repeated_specs_probe_as_the_family_of_distinct_specs():
+    s, t = IdealSpec(12, 1, 2), IdealSpec(12, 2, 3)
+    assert primality_probe([s, s], bound=1) == primality_probe(s, bound=1) == []
+    assert primality_probe([s, t, t], bound=1) == primality_probe([s, t], bound=1)
+    assert len(primality_probe([s, t], bound=1)) == 1144
+    a, b = 2 * BurnsideElement.unit(12), T(12, 6)
+    assert q_check([s, t, t, s], a, b) == q_check([s, t], a, b)
+
+
+@pytest.mark.parametrize("n", [12, 30, 60])
 def test_generators_outside_a_point_witness_non_containment(n):
     # a is inside b iff every generator of a is a member of b; for
     # incomparable points, witnesses each way satisfy Q although neither
@@ -519,7 +565,7 @@ def test_generators_outside_a_point_witness_non_containment(n):
                 wb = next(g for g in gens[b] if not member(a, g))
                 assert q_check([a, b], outside[0], wb).holds, (a.label, b.label)
                 incomparable += 1
-    assert incomparable == {12: 138, 30: 488}[n]
+    assert incomparable == {12: 138, 30: 488, 60: 1028}[n]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12])

@@ -70,6 +70,21 @@ def test_trial_division_stops_at_its_limit(low_trial_limit):
     assert divisors(97 * 89) == [1, 89, 97, 97 * 89]
 
 
+def test_trial_division_is_budgeted_by_the_cofactor_length():
+    # 1000003**700 has no factor below 1000003; its 13,953 bits are 27
+    # blocks of 512, so its divisors stop at 10**6 // 27
+    with pytest.raises(BudgetExceeded, match="past divisor 37037 "):
+        factorize(1000003**700)
+    # long inputs that shed small factors still factor, and so does every
+    # cofactor under 1024 bits with no factor past the limit
+    assert factorize(2**4000) == ((2, 4000),)
+    assert factorize(10**4299) == ((2, 4299), (5, 4299))
+    assert factorize(3**2000 * 7**1000) == ((3, 2000), (7, 1000))
+    assert factorize(999983 * 1000003) == ((999983, 1), (1000003, 1))
+    assert factorize(999983**4) == ((999983, 4),)
+    assert factorize(999983**3 * 1000003) == ((999983, 3), (1000003, 1))
+
+
 def test_divisor_count_is_budgeted_before_any_divisor_is_built():
     assert len(divisors(2**99 * 3**99)) == DIVISOR_LIMIT  # 100 * 100 divisors
     for n in (2**100 * 3**99, 10**4299):

@@ -32,11 +32,14 @@ class NotInGhostImage(ValueError):
         self.divisor = divisor
 
 
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
 def integer(text: str) -> int:
     """A decimal integer: ASCII digits after an optional minus sign, with
     surrounding spaces allowed.  Unlike int(), rejects underscores, a plus
     sign and non-ASCII digits."""
-    if not re.fullmatch(r"\s*-?[0-9]+\s*", text, re.ASCII):
+    if not _INTEGER.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 

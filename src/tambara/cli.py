@@ -1,22 +1,26 @@
 """Command-line front end.
 
 Subcommands: spectrum, contains, member, map, ghost, unghost, gens,
-probe, oracle, dress.  Elements are passed as JSON
+probe, oracle, dress, each one entry of the COMMANDS table, which gives
+its handler, help line, options and positionals.  ``_parse`` reads a
+request against that table once; the same table writes the help and the
+usage errors.  Options are --opt value, --opt=value or -n value; a
+repeated option keeps its last value, a negative decimal is a value, and
+prefixes of an option are not accepted.  Elements are passed as JSON
 ({"level": h, "coeffs": {"k": m}}) or as the shorthand t<m>@<h> for the
 transitive set of order m at level h; a JSON integer may have at most
-MAX_INPUT_DIGITS digits.  Exit codes: 0 success, 1 domain
+MAX_INPUT_DIGITS digits.  Exit codes: 0 success (and --help), 1 domain
 error, 2 usage error, 3 broken internal invariant (InvariantError); codes
-1 and 3 write a JSON {"error", "message"} object on stderr.  ``run`` may
-be called repeatedly in one process: the argument parser is built once,
-on first use, and reused by every later call.
+1 and 3 write a JSON {"error", "message"} object on stderr, code 2 the
+usage line and the error.  ``run`` keeps no state between calls.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from functools import cache, partial
+from functools import partial
+from types import SimpleNamespace
 
 from .burnside import (
     BurnsideElement,
@@ -31,6 +35,7 @@ from .burnside import (
     unghost,
 )
 from .gsets import (
+    DEFAULT_MAP_BUDGET,
     NegativeCoefficient,
     decompose,
     fixed_points,
@@ -68,6 +73,9 @@ MAX_INPUT_DIGITS = 100_000
 # check, and trial division costs time linear in its length per divisor.
 MAX_LEVEL_DIGITS = 4300
 _LEVEL_BOUND = 10**MAX_LEVEL_DIGITS
+# The most points of G-sets one oracle run may realize (boxes, induced
+# sets and map sets together); n = 120 realizes at most 5.0e5.
+ORACLE_POINT_LIMIT = 10**7
 
 
 def _any_length(convert, value):
@@ -267,10 +275,42 @@ def _box_gsets(level: int, max_support: int):
         yield x, realize(x)
 
 
+def _oracle_points(check: str, n: int) -> int:
+    """The points of the G-sets an oracle run at n realizes, counted in
+    closed form.  The box at level k (coefficients 1 or 2) realizes
+    sigma(k)*(6*d(k) - 3) points on at most two orbits, and 3*sigma(k) on
+    one; a transfer induces each set to every level k*q, q | n/k, and a
+    norm maps each set of s <= 4 points to s**q points when that is
+    within DEFAULT_MAP_BUDGET."""
+    total = 0
+    for k in divisors(n):
+        divs = divisors(k)
+        if check == "marks":
+            total += sum(divs) * (6 * len(divs) - 3)
+        elif check == "transfers":
+            total += sum(divs) * (6 * len(divs) - 3) * (1 + sum(divisors(n // k)))
+        else:
+            total += 3 * sum(divs)
+            sizes = [m * j for m in (1, 2) for j in (1, 2, 3, 4) if k % j == 0 and m * j <= 4]
+            for q in divisors(n // k):
+                for size in sizes:
+                    # past the budget's bit length, size**q is over it unless size is 1
+                    maps = size ** min(q, DEFAULT_MAP_BUDGET.bit_length())
+                    total += maps if maps <= DEFAULT_MAP_BUDGET else 0
+    return total
+
+
 def cmd_oracle(args) -> int:
-    # Each level's box is walked once and each G-set realized once, then
+    # The whole run is counted against ORACLE_POINT_LIMIT first.  Then each
+    # level's box is walked once and each G-set realized once, then
     # checked at every target level h it divides; only one realized set is
     # alive at a time.
+    points = _oracle_points(args.check, args.n)
+    if points > ORACLE_POINT_LIMIT:
+        raise BudgetExceeded(
+            f"an oracle run realizing {points} points of G-sets exceeds "
+            f"ORACLE_POINT_LIMIT = {ORACLE_POINT_LIMIT}"
+        )
     levels = divisors(args.n)
     cases = 0
     if args.check == "marks":
@@ -324,82 +364,101 @@ def cmd_dress(args) -> int:
     return 0
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree of every subcommand, built once per process and
-    shared by every caller, so it must not be modified."""
-    parser = argparse.ArgumentParser(
-        prog="tambara",
-        description="Burnside Tambara functor of a cyclic group: structure "
-        "maps, ideals, and the prime spectrum.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
+_N, _SPEC, _PRIMES = ("n", integer, REQUIRED), ("spec", str, REQUIRED), ("primes", str, None)
+_ELEMENT = ("element", str, REQUIRED)
+# name -> (handler, help, options, positional names).  An option maps its flag to
+# (dest, converter, default); the converter is integer, str or a tuple of choices.
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "enumerate the prime spectrum", {"-n": _N, "--primes": _PRIMES,
+        "--format": ("format", ("dot", "json", "table"), "dot")}, ()),
+    "contains": (cmd_contains, "symbolic ideal containment: is A in B?", {"-n": _N}, ("a", "b")),
+    "member": (cmd_member, "ideal membership of an element", {
+        "-n": _N, "--spec": _SPEC, "--element": _ELEMENT}, ()),
+    "map": (cmd_map, "apply a structure map", {"-n": ("n", integer, None),
+        "--op": ("op", ("res", "tr", "norm"), REQUIRED), "--from": ("src", integer, REQUIRED),
+        "--to": ("dst", integer, REQUIRED), "--element": _ELEMENT}, ()),
+    "ghost": (cmd_ghost, "marks of an element", {"--element": _ELEMENT}, ()),
+    "unghost": (cmd_unghost, "invert the mark embedding", {
+        "--vector": ("vector", str, REQUIRED)}, ()),
+    "gens": (cmd_gens, "ring-theoretic generators of an ideal level", {
+        "-n": _N, "--spec": _SPEC, "--level": ("level", integer, None)}, ()),
+    "probe": (cmd_probe, "search for primality counterexamples", {"-n": _N,
+        "--bound": ("bound", integer, 2), "--support": ("support", integer, 2), "--primes": _PRIMES}, ()),
+    "oracle": (cmd_oracle, "cross-check formulas against G-sets", {
+        "--check": ("check", ("norms", "transfers", "marks"), REQUIRED), "-n": _N}, ()),
+    "dress": (cmd_dress, "Dress's spectrum of the Burnside ring", {"-n": _N, "--primes": _PRIMES,
+        "--format": ("format", ("json", "table"), "table")}, ()),
+}
+_ABOUT = """Burnside Tambara functor of a cyclic group: structure maps, ideals, prime spectrum.
+An element is JSON {"level": h, "coeffs": {"k": m}} or t<m>@<h>, a spec (A, B, --spec) is
+c=<d>,p=<p>, and --primes a comma-separated list (0 allowed).  Commands:"""
 
-    sp = sub.add_parser("spectrum", help="enumerate the prime spectrum")
-    sp.add_argument("-n", type=integer, required=True)
-    sp.add_argument("--primes", help="comma-separated primes (0 allowed)")
-    sp.add_argument("--format", choices=["dot", "json", "table"], default="dot")
-    sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("contains", help="symbolic ideal containment")
-    sp.add_argument("-n", type=integer, required=True)
-    sp.add_argument("a", metavar="A", help="spec c=<d>,p=<p>")
-    sp.add_argument("b", metavar="B", help="spec c=<d>,p=<p>")
-    sp.set_defaults(func=cmd_contains)
+def _stop(name, error=None):
+    """Print the help on stdout and exit 0, or, given an error, the usage
+    line and the error on stderr and exit 2."""
+    prog, usage, about = "tambara", "usage: tambara <command> [options]", _ABOUT
+    about += "".join(f"\n  {cmd:<9} {entry[1]}" for cmd, entry in COMMANDS.items())
+    if name is not None:
+        prog, (_, about, options, positionals) = f"tambara {name}", COMMANDS[name]
+        usage = f"usage: {prog}"
+        for flag, (_, convert, default) in options.items():
+            meta = flag.strip("-").upper() if callable(convert) else "{%s}" % ",".join(convert)
+            usage += f" {flag} {meta}" if default is REQUIRED else f" [{flag} {meta}]"
+        usage += "".join(f" {a.upper()}" for a in positionals)
+    if error is not None:
+        print(f"{usage}\n{prog}: error: {error}", file=sys.stderr)
+        raise SystemExit(2)
+    print(f"{usage}\n\n{about}")
+    raise SystemExit(0)
 
-    sp = sub.add_parser("member", help="ideal membership of an element")
-    sp.add_argument("-n", type=integer, required=True)
-    sp.add_argument("--spec", required=True, help="spec c=<d>,p=<p>")
-    sp.add_argument("--element", required=True, help="element JSON or t<m>@<h>")
-    sp.set_defaults(func=cmd_member)
 
-    sp = sub.add_parser("map", help="apply a structure map")
-    sp.add_argument("-n", type=integer, default=None)
-    sp.add_argument("--op", choices=["res", "tr", "norm"], required=True)
-    sp.add_argument("--from", dest="src", type=integer, required=True)
-    sp.add_argument("--to", dest="dst", type=integer, required=True)
-    sp.add_argument("--element", required=True)
-    sp.set_defaults(func=cmd_map)
+def _is_value(token: str) -> bool:
+    """Not an option: a token that does not start with '-', or a negative integer."""
+    return token[:1] != "-" or token[1:].isdecimal()
 
-    sp = sub.add_parser("ghost", help="marks of an element")
-    sp.add_argument("--element", required=True)
-    sp.set_defaults(func=cmd_ghost)
 
-    sp = sub.add_parser("unghost", help="invert the mark embedding")
-    sp.add_argument("--vector", required=True, help="ghost JSON")
-    sp.set_defaults(func=cmd_unghost)
-
-    sp = sub.add_parser("gens", help="ring-theoretic generators of an ideal level")
-    sp.add_argument("-n", type=integer, required=True)
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--level", type=integer, default=None)
-    sp.set_defaults(func=cmd_gens)
-
-    sp = sub.add_parser("probe", help="search for primality counterexamples")
-    sp.add_argument("-n", type=integer, required=True)
-    sp.add_argument("--bound", type=integer, default=2)
-    sp.add_argument("--support", type=integer, default=2)
-    sp.add_argument("--primes")
-    sp.set_defaults(func=cmd_probe)
-
-    sp = sub.add_parser("oracle", help="cross-check formulas against G-sets")
-    sp.add_argument("--check", choices=["norms", "transfers", "marks"], required=True)
-    sp.add_argument("-n", type=integer, required=True)
-    sp.set_defaults(func=cmd_oracle)
-
-    sp = sub.add_parser("dress", help="Dress's spectrum of the Burnside ring")
-    sp.add_argument("-n", type=integer, required=True)
-    sp.add_argument("--primes")
-    sp.add_argument("--format", choices=["json", "table"], default="table")
-    sp.set_defaults(func=cmd_dress)
-
-    return parser
+def _parse(argv) -> SimpleNamespace:
+    """The handler (as ``func``) and arguments of one request, read against
+    COMMANDS; --help and usage errors raise SystemExit, as in argparse."""
+    name = argv[0] if argv else None
+    if name not in COMMANDS:
+        _stop(None, None if name in ("-h", "--help") else f"expected a command, got {name!r}")
+    func, _, options, positionals = COMMANDS[name]
+    args, rest, tokens = SimpleNamespace(func=func), [], iter(argv[1:])
+    for token in tokens:
+        if _is_value(token):
+            rest.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag in ("-h", "--help"):
+            _stop(name)
+        if flag not in options:
+            _stop(name, f"unrecognized option {token!r}")
+        if not eq:
+            value = next(tokens, "-")  # "-" stands for a missing value
+            if not _is_value(value):
+                _stop(name, f"option {flag} expects a value")
+        dest, convert, _ = options[flag]
+        try:  # a tuple of choices raises ValueError on any other value
+            value = convert(value) if callable(convert) else convert[convert.index(value)]
+        except ValueError:
+            _stop(name, f"option {flag}: invalid value {value!r}")
+        setattr(args, dest, value)
+    if len(rest) != len(positionals):
+        _stop(name, f"expected {len(positionals)} positional arguments, got {len(rest)}")
+    for flag, (dest, _, default) in options.items():
+        if vars(args).setdefault(dest, default) is REQUIRED:
+            _stop(name, f"option {flag} is required")
+    vars(args).update(zip(positionals, rest))
+    return args
 
 
 def run(argv=None) -> int:
     """Entry point returning the exit code; stdout/stderr carry the output."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from tambara import cli, ideals, lattice
+from tambara import cli, gsets, ideals, lattice
 from tambara.burnside import BurnsideElement, element_from_json
-from tambara.cli import build_parser, integer, parse_element, parse_spec, run
+from tambara.cli import integer, parse_element, parse_spec, run
 from tambara.maps import norm
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,7 +44,6 @@ def test_spectrum_matches_golden_file(capsys):
 
 
 def test_reused_parser_leaks_no_state(capsys):
-    assert build_parser() is build_parser()
     code, out, _ = invoke(capsys, "spectrum", "-n", "12", "--primes", "0,2")
     assert code == 0 and "pq_1_3" not in out
     assert invoke(capsys, "spectrum", "-n", "12", "--format", "svg")[0] == 2
@@ -321,6 +320,45 @@ def test_oracle_commands(capsys):
             assert out == f"{check}: OK ({cases} cases)\n"
 
 
+def _count_realized_points(monkeypatch):
+    realized = []
+
+    def counted(build):
+        def count(*args):
+            s = build(*args)
+            realized.append(s.size)
+            return s
+        return count
+
+    for name in ("realize", "induce", "map_set"):
+        monkeypatch.setattr(cli, name, counted(getattr(gsets, name)))
+    return realized
+
+
+@pytest.mark.parametrize("n", [6, 12, 30])
+@pytest.mark.parametrize("check", ["marks", "transfers", "norms"])
+def test_oracle_budget_counts_every_realized_point(capsys, monkeypatch, check, n):
+    realized = _count_realized_points(monkeypatch)
+    points = cli._oracle_points(check, n)
+    monkeypatch.setattr(cli, "ORACLE_POINT_LIMIT", points)
+    code, out, err = invoke(capsys, "oracle", "--check", check, "-n", str(n))
+    assert code == 0, err
+    assert sum(realized) == points
+    monkeypatch.setattr(cli, "ORACLE_POINT_LIMIT", points - 1)
+    code, out, err = invoke(capsys, "oracle", "--check", check, "-n", str(n))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("check", ["marks", "transfers", "norms"])
+def test_oracle_past_the_point_limit_is_refused_before_any_g_set(capsys, monkeypatch, check):
+    realized = _count_realized_points(monkeypatch)
+    code, out, err = invoke(capsys, "oracle", "--check", check, "-n", "55440")
+    assert code == 1 and out == "" and realized == []
+    payload = json.loads(err)
+    assert payload["error"] == "BudgetExceeded" and "ORACLE_POINT_LIMIT" in payload["message"]
+
+
 # one element of each oracle's box at n = 30: realizable, and of size at most 4 for norms
 WRONG_ON = BurnsideElement(6, {2: 1, 3: 2}), BurnsideElement(2, {1: 1})
 
@@ -388,9 +426,45 @@ def test_malformed_json_input_exit_1(capsys, argv):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert invoke(capsys, "spectrum")[0] == 2  # missing -n
-    assert invoke(capsys, "no-such-command")[0] == 2
-    assert invoke(capsys)[0] == 2
+    for argv in (
+        ["spectrum"],  # missing -n
+        ["map", "--op", "res", "--from", "6", "--element", "t3@6"],  # missing --to
+        ["no-such-command"],
+        [],
+        ["map", "--op", "frob", "--from", "1", "--to", "12", "--element", "t1@1"],
+        ["spectrum", "-n", "12", "--format", "svg"],
+        ["spectrum", "-n", "12", "--no-such-option", "1"],
+        ["spectrum", "-n"],
+        ["ghost", "--element"],
+        ["contains", "-n", "12", "c=6,p=0", "c=2,p=0", "c=1,p=0"],
+        ["contains", "-n", "12", "c=6,p=0"],
+        ["ghost", "--element", "-x"],  # not a negative number, so not a value
+        ["ghost", "--elem", "t1@1"],  # no prefix abbreviations
+        ["spectrum", "-n12"],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage: tambara") and "error: " in err, argv
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize(
+    "command",
+    ["spectrum", "contains", "member", "map", "ghost", "unghost", "gens", "probe", "oracle", "dress"],
+)
+def test_every_command_prints_its_help(capsys, command, flag):
+    code, out, err = invoke(capsys, command, flag)
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: tambara {command}")
+
+
+def test_option_forms_agree(capsys):
+    spaced = invoke(capsys, "spectrum", "-n", "12", "--format", "json")
+    assert spaced[0] == 0
+    assert invoke(capsys, "spectrum", "-n", "12", "--format=json") == spaced
+    # a repeated option keeps its last value
+    assert invoke(capsys, "spectrum", "-n", "6", "-n", "12", "--format", "json") == spaced
+    assert invoke(capsys, "spectrum", "--format", "dot", "-n", "12", "--format", "json") == spaced
 
 
 def test_integer_accepts_only_ascii_decimal_digits():

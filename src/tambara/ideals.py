@@ -4,8 +4,9 @@ An ideal here is named by a pair (C_c, p) with p a prime or zero: its
 level at C_h consists of the elements whose marks vanish mod p at every
 subgroup of C_gcd(h,c).  The module provides membership, the psi
 cell sums along intersection-with-C_c cells, explicit ring-theoretic
-generators, exact integer-lattice realizations of each level (so that
-"generated ideal equals kernel" is an HNF matrix comparison), and
+generators, exact integer-lattice realizations of each level, read off
+its psi cells in canonical HNF (so that "generated ideal equals kernel"
+is an HNF matrix comparison), and
 Nakaoka's primality condition Q: ``q_check`` evaluates it on one pair by
 computing norms, and ``primality_probe`` decides it on a whole box of
 pairs: a single ideal by a lemma, a larger family from the zero masks of
@@ -22,7 +23,7 @@ from math import comb, gcd
 from operator import not_
 
 from .burnside import BurnsideElement, from_vector, mark_table, marks, to_vector
-from .intlattice import hnf, in_row_span, is_sublattice, preimage_mod
+from .intlattice import hnf, in_row_span, is_sublattice
 from .lattice import (
     BudgetExceeded,
     InvariantError,
@@ -69,8 +70,10 @@ def member(spec: IdealSpec, x: BurnsideElement) -> bool:
 def psi(x: BurnsideElement, c: int, j: int) -> int:
     """The cell sum psi^J(X) = sum over d in S_J of m_d * |G:d|.
 
-    X must live at the top level (its level is the ambient order); S_J is
-    the cell of divisors meeting C_c exactly in C_j.
+    X may live at any level h, which then acts as the ambient order:
+    G = C_h, c | h, and S_J is the cell of divisors of h meeting C_c
+    exactly in C_j.  At c = gcd(h, c') these sums decide membership in
+    the ideals (C_c', p), see ``kernel_lattice``.
     """
     n = x.level
     require_divides(c, n, "cell subgroup")
@@ -159,18 +162,38 @@ class LevelLattice:
 
 @lru_cache(maxsize=None)
 def kernel_lattice(spec: IdealSpec, h: int) -> LevelLattice:
-    """The ideal's level at C_h as an integer lattice.
+    """The ideal's level at C_h as an integer lattice, written down in
+    canonical HNF from its psi cells.
 
-    Solves mark(X, i) = 0 mod p (exactly for p = 0) over the divisors i
-    of gcd(h, c), via an exact integer kernel/preimage computation on the
-    mark matrix, whose basis is already the canonical HNF.
+    Let g = gcd(h, c).  The level is cut out by mark(X, C_i) = 0 mod p
+    (exactly for p = 0) for i | g.  C_i lies in C_k iff i | gcd(k, g), so
+    mark(X, C_i) is the sum of the cell sums psi_j(X) (``psi`` at level
+    h) over i | j | g: a unitriangular system over the divisors of g,
+    invertible over Z and mod p, so the marks vanish iff every psi_j
+    does.  The level is the direct sum over the cells S_j of
+    ``s_partition(h, g)`` of one equation each.
+
+    With m the maximal member of a cell, psi_j = (h/m) sum (m/k) x_k.  If
+    p is prime and divides h/m, the cell gives e_k for every member k.
+    Otherwise x_m = -sum over k != m of (m/k) x_k mod p (exactly for
+    p = 0): the cell gives e_k - (m/k) e_m for each k != m, its entry at
+    m reduced into [0, p) for a prime p, and then p e_m.  The cells have
+    disjoint columns and m is the largest of its cell, so no other row
+    has an entry at a pivot k, and the entries above a pivot p e_m lie in
+    [0, p): sorted by pivot, the rows are the canonical HNF.
     """
     require_divides(h, spec.n, "lattice level")
+    p = spec.p
+    rows = {}  # pivot column -> {column: entry}
+    for members, m in s_partition(h, gcd(h, spec.c)).values():
+        if p and (h // m) % p == 0:
+            rows.update((k, {k: 1}) for k in members)
+            continue
+        rows.update((k, {k: 1, m: -(m // k) % p if p else -(m // k)}) for k in members if k != m)
+        if p:
+            rows[m] = {m: p}
     divs = divisors(h)
-    g = gcd(h, spec.c)
-    conds = [row for i, row in zip(divs, mark_table(h)) if g % i == 0]
-    rows = preimage_mod(conds, len(divs), spec.p)
-    return LevelLattice(h, tuple(map(tuple, rows)))
+    return LevelLattice(h, tuple(tuple(rows[t].get(k, 0) for k in divs) for t in sorted(rows)))
 
 
 def ring_ideal_lattice(h: int, gens) -> LevelLattice:

@@ -166,6 +166,17 @@ def test_cli_reads_back_its_own_norm(capsys):
         assert doc["marks"][str(i)] == 3 ** (20160 // i)
 
 
+def test_norm_past_the_bit_budget_exits_1(capsys):
+    # a 1,000-digit coefficient normed to 20160 would have 67 Mbit marks
+    code, out, err = invoke(
+        capsys, "map", "--op", "norm", "--from", "1", "--to", "20160",
+        "--element", '{"level":1,"coeffs":{"1":%s}}' % ("9" * 1000),
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "BudgetExceeded"
+    assert "NORM_BIT_LIMIT" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_json_integers_are_capped_in_digits(capsys, sign):
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb, gcd
 
@@ -224,6 +225,22 @@ def test_psi_vanishing_for_members():
             value = psi(x, c, j)
             assert value % p == 0 if p else value == 0
 
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_member_iff_every_psi_cell_vanishes(n):
+    # the cell lemma behind kernel_lattice: at level h the marks at every
+    # i | gcd(h, c) vanish mod p iff the cell sums psi at gcd(h, c) do
+    for h in divisors(n):
+        box = box_elements(h, 2, 2)
+        for c in divisors(n):
+            g = gcd(h, c)
+            for p in (0, 2, 3, 5, 7):
+                spec = IdealSpec(n, c, p)
+                for x in box:
+                    sums = [psi(x, g, j) for j in divisors(g)]
+                    cells = not any(v % p if p else v for v in sums)
+                    assert member(spec, x) == cells, (spec.label, x)
 
 # --- Q-criterion ---------------------------------------------------------------
 
@@ -538,6 +555,26 @@ def test_two_point_families_at_12_are_prime_iff_comparable():
             else:
                 witnessed += bool(pairs)
     assert (len(points), comparable, witnessed) == (17, 67, 48)
+
+
+def test_three_point_families_at_12():
+    # a family with a least point intersects in that point, a prime; for
+    # every family the probe falsifies, its first pair passes q_check and
+    # neither element lies in every point of the family
+    points = _canonical_points(12)
+    least = witnessed = 0
+    for family in itertools.combinations(points, 3):
+        pairs = primality_probe(list(family), bound=2)
+        if any(all(contains(a, b) for b in family) for a in family):
+            assert pairs == [], [s.label for s in family]
+            least += 1
+        if pairs:
+            a, b = pairs[0]
+            assert q_check(list(family), a, b).holds, [s.label for s in family]
+            for x in (a, b):
+                assert not all(member(s, x) for s in family), [s.label for s in family]
+            witnessed += 1
+    assert (comb(len(points), 3), least, witnessed) == (680, 259, 234)
 
 
 def test_repeated_specs_probe_as_the_family_of_distinct_specs():

@@ -4,9 +4,13 @@ from math import gcd
 import pytest
 
 from tambara import ideals, intlattice
+from tambara.burnside import mark_table
 from tambara.ideals import IdealSpec, kernel_lattice
-from tambara.intlattice import hnf, in_row_span, is_sublattice, kernel, preimage_mod, xgcd
+from tambara.intlattice import hnf, in_row_span, is_sublattice, xgcd
 from tambara.lattice import divisors
+
+from . import lattice_oracle
+from .lattice_oracle import kernel, preimage_mod
 
 
 def random_matrix(rng, rows, cols, bound=6):
@@ -179,17 +183,39 @@ def test_preimage_mod_prime_needs_no_xgcd(monkeypatch):
     def forbidden(*args):
         raise AssertionError("row reduction over Z called")
 
-    # the preimage's basis is canonical, so no HNF is taken of it either
+    # kernel_lattice writes the canonical HNF down from the psi cells: it
+    # reads no mark table and runs no solver, for a prime p or for p = 0
     monkeypatch.setattr(ideals, "hnf", forbidden)
+    monkeypatch.setattr(ideals, "mark_table", forbidden)
+    monkeypatch.setattr(intlattice, "hnf", forbidden)
     monkeypatch.setattr(intlattice, "xgcd", forbidden)
     kernel_lattice.cache_clear()
     try:
         for c in divisors(60):
-            for p in (2, 3, 5, 7):
+            for p in (0, 2, 3, 5, 7):
                 for h in divisors(60):
                     kernel_lattice(IdealSpec(60, c, p), h)
+        # the partial p = 0 levels that the growing-entry HNF solved slowly
+        for spec in (IdealSpec(360, 180, 0), IdealSpec(5040, 2520, 0)):
+            assert len(kernel_lattice(spec, spec.n).basis) == {360: 6, 5040: 12}[spec.n]
     finally:
         kernel_lattice.cache_clear()
+
+
+@pytest.mark.parametrize("n", [12, 30, 60, 72, 90, 120])
+def test_kernel_lattice_equals_the_mark_condition_oracle(n):
+    # the oracle solves mark(X, C_i) = 0 mod p at every i | gcd(h, c) over
+    # the mark table, by row reduction mod p or the [A^T | I] kernel for 0
+    oracle = {}
+    for c in divisors(n):
+        for h in divisors(n):
+            g = gcd(h, c)
+            divs = divisors(h)
+            conds = [row for i, row in zip(divs, mark_table(h)) if g % i == 0]
+            for p in (0, 2, 3, 5, 7):
+                if (h, g, p) not in oracle:
+                    oracle[h, g, p] = tuple(map(tuple, preimage_mod(conds, len(divs), p)))
+                assert kernel_lattice(IdealSpec(n, c, p), h).basis == oracle[h, g, p], (c, h, p)
 
 
 @pytest.mark.parametrize("n", [12, 60, 90])
@@ -211,7 +237,7 @@ def test_kernel_of_full_rank_echelon_rows_is_zero_without_hnf(monkeypatch):
     def forbidden(rows):
         raise AssertionError("hnf called")
 
-    monkeypatch.setattr(intlattice, "hnf", forbidden)
+    monkeypatch.setattr(lattice_oracle, "hnf", forbidden)
     assert kernel([[3, 1, 0], [0, 0, -2], [0, 5, 7]], 3) == []
     kernel_lattice.cache_clear()
     try:

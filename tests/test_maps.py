@@ -1,10 +1,13 @@
 import random
+from types import MappingProxyType
 
 import pytest
 
+from tambara import maps
 from tambara.burnside import BurnsideElement, GhostVector, ghost, unghost
 from tambara.gsets import ConcreteGSet, decompose, realize
-from tambara.lattice import divisors
+from tambara.ideals import IdealSpec, q_check
+from tambara.lattice import BudgetExceeded, divisors
 from tambara.maps import (
     ghost_res,
     ghost_tr,
@@ -202,3 +205,57 @@ def test_tower_composition_laws():
         y = random_element(rng, i)
         assert transfer(transfer(y, j), h) == transfer(y, h)
         assert norm(norm(y, j), h) == norm(y, h)
+
+
+class _NoPower(int):
+    """A mark that fails the test if any power of it is taken."""
+
+    def __pow__(self, exponent, modulo=None):
+        raise AssertionError(f"a power of a {self.bit_length()}-bit mark was taken")
+
+
+def _unpowerable_marks(monkeypatch):
+    marks = maps.marks
+    monkeypatch.setattr(
+        maps, "marks", lambda x, g: {i: _NoPower(m) for i, m in marks(x, g).items()}
+    )
+
+
+def test_norm_within_the_bit_budget_runs():
+    # (h/k) * B bits from level 1 to 20160: 685,447 for 10**10 - 1
+    x = B(1, {1: 10**10 - 1})
+    y = norm(x, 20160)
+    assert y.mark(1) == x.mark(1) ** 20160
+    assert ghost(y) == norm_ghost(ghost(x), 20160)
+    assert max(abs(m).bit_length() for m in y.coeffs.values()) == 669_687
+
+
+def test_norm_past_the_bit_budget_is_refused_before_any_power(monkeypatch):
+    # 1,350,727 estimated bits for 10**20 - 1 normed from level 1 to 20160
+    x = B(1, {1: 10**20 - 1})
+    _unpowerable_marks(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="NORM_BIT_LIMIT"):
+        norm(x, 20160)
+    v = GhostVector(1, {1: 0})
+    v.values = MappingProxyType({1: _NoPower(10**20 - 1)})
+    with pytest.raises(BudgetExceeded, match="NORM_BIT_LIMIT"):
+        norm_ghost(v, 20160)
+    with pytest.raises(BudgetExceeded, match="NORM_BIT_LIMIT"):
+        q_check(IdealSpec(20160, 1, 2), x, BurnsideElement.unit(1))
+
+
+def test_norm_of_marks_at_most_one_is_never_refused():
+    # powers of 0 and -1 stay one bit, however far the norm goes
+    x = B(1, {1: -1})
+    assert maps.NORM_BIT_LIMIT < 2**21
+    y = norm(x, 2**21)
+    assert (y.mark(1), y.mark(2**21)) == (1, -1)
+    assert norm_ghost(ghost(B(2, {1: 1, 2: -1})), 2**21).values[1] == 1
+
+
+def test_q_check_norms_a_ten_digit_element_to_20160():
+    # the first product, at level 20160, is odd at C_1, so Q fails there
+    a = B(1, {1: 10**10 - 1})
+    report = q_check(IdealSpec(20160, 1, 2), a, BurnsideElement.unit(1))
+    assert not report.holds and report.witness.level == 20160
+

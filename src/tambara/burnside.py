@@ -17,7 +17,6 @@ must never overflow.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
@@ -172,15 +171,6 @@ class BurnsideElement:
                 orbit = "e/e"
             parts.append(f"{m}*{orbit}" if m != 1 else orbit)
         return " + ".join(parts).replace("+ -", "- ")
-
-
-@lru_cache(maxsize=None)
-def mark_table(h: int) -> tuple[tuple[int, ...], ...]:
-    """The mark matrix of A(C_h) over the ascending divisors of h: row i,
-    column k holds the mark at C_i of the orbit C_h/C_k, which is h/k
-    where i | k and 0 elsewhere."""
-    divs = divisors(h)
-    return tuple(tuple(h // k if k % i == 0 else 0 for k in divs) for i in divs)
 
 
 def from_t(level: int, m: int) -> BurnsideElement:

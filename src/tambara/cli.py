@@ -24,7 +24,6 @@ from types import SimpleNamespace
 
 from .burnside import (
     BurnsideElement,
-    NotInGhostImage,
     element_from_json,
     element_to_json,
     from_t,
@@ -36,7 +35,6 @@ from .burnside import (
 )
 from .gsets import (
     DEFAULT_MAP_BUDGET,
-    NegativeCoefficient,
     decompose,
     fixed_points,
     induce,
@@ -463,8 +461,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, InvariantError, KeyError,
-            NotInGhostImage, NegativeCoefficient, BudgetExceeded) as exc:
+    except (ValueError, ArithmeticError, InvariantError, KeyError, BudgetExceeded) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 3 if isinstance(exc, InvariantError) else 1

@@ -128,9 +128,7 @@ def product(s: ConcreteGSet, t: ConcreteGSet) -> ConcreteGSet:
     return ConcreteGSet(s.level, tuple(perm))
 
 
-def map_set(
-    h: int, k: int, x: ConcreteGSet, budget: int = DEFAULT_MAP_BUDGET
-) -> ConcreteGSet:
+def map_set(h: int, k: int, x: ConcreteGSet) -> ConcreteGSet:
     """The C_h-set of C_k-equivariant maps C_h -> X.
 
     A map is determined by its values on the h/k coset representatives
@@ -138,7 +136,8 @@ def map_set(
     are encoded as base-|X| numbers with the value at the first
     representative as the most significant digit.  The generator of C_h
     shifts representatives, feeding the overflow through the generator
-    action on X.  Enumeration refuses (loudly) to exceed ``budget``.
+    action on X.  Enumeration refuses (loudly) to exceed
+    DEFAULT_MAP_BUDGET elements, read when called.
     """
     require_divides(k, h, "map-set target")
     if x.level != k:
@@ -146,9 +145,9 @@ def map_set(
     q = h // k
     size = x.size
     total = size**q
-    if total > budget:
+    if total > DEFAULT_MAP_BUDGET:
         raise BudgetExceeded(
-            f"map set would have {size}**{q} = {total} elements, cap is {budget}"
+            f"map set would have {size}**{q} = {total} elements, cap is {DEFAULT_MAP_BUDGET}"
         )
     if size == 0:
         return ConcreteGSet(h, ())

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, gcd
 from operator import not_
 
-from .burnside import BurnsideElement, from_vector, mark_table, marks, to_vector
+from .burnside import BurnsideElement, from_vector, marks, to_vector
 from .intlattice import hnf, in_row_span, is_sublattice
 from .lattice import (
     BudgetExceeded,
@@ -120,25 +120,23 @@ class LevelLattice:
     """A sub-Z-module of A(C_level) in the ascending transitive basis.
 
     ``basis`` is a canonical HNF row matrix; ``from_rows`` computes it
-    from any spanning rows.  Construction verifies closure under
-    multiplication by every basis orbit, i.e. that the row span really is
-    a ring ideal, however the lattice is built.
+    from any spanning rows.  Construction verifies closure: every product
+    of a basis row with an orbit, built by ``_orbit_products`` as in
+    ``ring_ideal_lattice``, must lie in the row span, i.e. the span really
+    is a ring ideal, however the lattice is built.
     """
 
     level: int
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = [list(r) for r in self.basis]
-        for r in self.basis:
-            x = from_vector(self.level, r)
-            for k in divisors(self.level):
-                y = x * BurnsideElement.transitive(self.level, k)
-                if not in_row_span(rows, to_vector(y)):
-                    raise InvariantError(
-                        f"row span at level {self.level} is not an ideal: "
-                        f"{x} * C/C_{k} escapes"
-                    )
+        xs = [from_vector(self.level, r) for r in self.basis]
+        for x, k, row in _orbit_products(self.level, xs):
+            if not in_row_span(self.basis, row):
+                raise InvariantError(
+                    f"row span at level {self.level} is not an ideal: "
+                    f"{x} * C/C_{k} escapes"
+                )
 
     @classmethod
     def from_rows(cls, level: int, rows) -> "LevelLattice":
@@ -148,13 +146,13 @@ class LevelLattice:
         """Is x an integer combination of the lattice basis rows?"""
         if x.level != self.level:
             raise ValueError(f"level mismatch: {x.level} vs {self.level}")
-        return in_row_span([list(r) for r in self.basis], to_vector(x))
+        return in_row_span(self.basis, to_vector(x))
 
     def contains_lattice(self, other: "LevelLattice") -> bool:
         """Is every element of ``other`` in this lattice?"""
         if other.level != self.level:
             raise ValueError("level mismatch")
-        return is_sublattice([list(r) for r in other.basis], [list(r) for r in self.basis])
+        return is_sublattice(other.basis, self.basis)
 
     def same_span(self, other: "LevelLattice") -> bool:
         return self.level == other.level and self.basis == other.basis
@@ -196,19 +194,25 @@ def kernel_lattice(spec: IdealSpec, h: int) -> LevelLattice:
     return LevelLattice(h, tuple(tuple(rows[t].get(k, 0) for k in divs) for t in sorted(rows)))
 
 
+def _orbit_products(h: int, elements):
+    """The products of each element with each orbit, as (x, k, the vector
+    of x * C_h/C_k), element by element and k ascending; the orbits are
+    built once.  An element at another level raises ValueError."""
+    orbits = [(k, BurnsideElement.transitive(h, k)) for k in divisors(h)]
+    for x in elements:
+        if x.level != h:
+            raise ValueError(f"generator level {x.level} differs from {h}")
+        for k, t in orbits:
+            yield x, k, to_vector(x * t)
+
+
 def ring_ideal_lattice(h: int, gens) -> LevelLattice:
     """Lattice of the ring ideal generated by ``gens`` inside A(C_h).
 
     The Z-span of {g * C_h/C_k} over all generators and basis orbits is
     closed under multiplication by basis elements, hence equals the ideal.
     """
-    rows = []
-    for g in gens:
-        if g.level != h:
-            raise ValueError(f"generator level {g.level} differs from {h}")
-        for k in divisors(h):
-            rows.append(to_vector(g * BurnsideElement.transitive(h, k)))
-    return LevelLattice.from_rows(h, rows)
+    return LevelLattice.from_rows(h, [row for _, _, row in _orbit_products(h, gens)])
 
 
 # ---------------------------------------------------------------------------
@@ -302,28 +306,25 @@ def _check_budget(count: int, what: str) -> None:
         raise BudgetExceeded(f"{what} exceeds BOX_LIMIT = {BOX_LIMIT}")
 
 
-def _box(d: int, values, max_support: int):
-    """The box over d orbits in its one enumeration order, as pairs
-    (orbit indices, coefficients from ``values``): the zero element
-    first, then by support size, orbit index tuple and coefficient tuple.
-    Restricted to positive coefficients, the order over the signed values
-    is the order over the positive ones."""
-    yield (), ()
-    for size in range(1, max_support + 1):
-        for idx in itertools.combinations(range(d), size):
-            for ms in itertools.product(values, repeat=size):
-                yield idx, ms
-
-
 def box_terms(level: int, values, max_support: int = 2):
     """The box at the level with at most ``max_support`` nonzero
     coefficients, each taken from ``values``, as (orbits, coefficients)
-    pairs in box order before any element is built; the box's size is
-    checked against BOX_LIMIT first."""
+    tuple pairs before any element is built, in the one box order: the
+    zero element first, then by support size, ascending orbit tuple and
+    coefficient tuple (in the order of ``values``).  Restricted to
+    positive coefficients, the order over the signed values is the order
+    over the positive ones.  The box's size is checked against BOX_LIMIT
+    when this is called, before anything is yielded."""
     divs = divisors(level)
     count = _box_size(len(divs), len(values), max_support)
     _check_budget(count, f"a box of {count} elements over {len(divs)} orbits")
-    return (([divs[j] for j in idx], ms) for idx, ms in _box(len(divs), values, max_support))
+    nonzero = (
+        (orbits, ms)
+        for size in range(1, max_support + 1)
+        for orbits in itertools.combinations(divs, size)
+        for ms in itertools.product(values, repeat=size)
+    )
+    return itertools.chain([((), ())], nonzero)
 
 
 def box_elements(level: int, bound: int, max_support: int = 2) -> list[BurnsideElement]:
@@ -342,22 +343,24 @@ def _walk(n: int, bound: int, max_support: int, primes: tuple[int, ...]):
     prime the bitmask over the divisors of h of its marks that vanish mod
     p (exactly for p = 0); zeros holds the distinct tuples of the box, and
     ids, per element in box order, the position of its tuple in zeros.
-    The marks are sums of columns of ``mark_table`` times the
-    coefficients, computed once per element for all the primes."""
+    An element's marks are the sum over its orbits k of the coefficient
+    times the marks of C_h/C_k (``marks`` of the orbit), computed once per
+    element for all the primes."""
     values = _signed(bound, max_support)
     walk = []
     for h in divisors(n):
         divs = divisors(h)
-        table = mark_table(h)
-        # column j of the table times m: the marks of m * C_h/C_{divs[j]}
-        scaled = [{m: [m * row[j] for row in table] for m in values} for j in range(len(divs))]
+        scaled = {}  # per orbit k and coefficient m: the marks of m * C_h/C_k
+        for k in divs:
+            column = marks(BurnsideElement.transitive(h, k), h).values()
+            scaled[k] = {m: [m * v for v in column] for m in values}
         origin = [0] * len(divs)
         bits = [1 << t for t in range(len(divs))]
         seen, ids = {}, []  # the position of each distinct tuple of zero masks
-        for idx, ms in _box(len(divs), values, max_support):
-            marks = list(map(sum, zip(origin, *(scaled[j][m] for j, m in zip(idx, ms)))))
+        for orbits, ms in box_terms(h, values, max_support):
+            mk = list(map(sum, zip(origin, *(scaled[k][m] for k, m in zip(orbits, ms)))))
             z = tuple(
-                sum(itertools.compress(bits, map(not_, map(p.__rmod__, marks) if p else marks)))
+                sum(itertools.compress(bits, map(not_, map(p.__rmod__, mk) if p else mk)))
                 for p in primes
             )
             ids.append(seen.setdefault(z, len(seen)))
@@ -450,11 +453,11 @@ def primality_probe(
     if not any(mates.values()):
         return []
     elements, masks, classes = [], [], {}  # each non-member with a mate; positions per mask
-    for (h, divs, _, ids), cover in zip(walk, covered):
-        for (idx, ms), k in zip(_box(len(divs), values, max_support), ids):
+    for (h, _, _, ids), cover in zip(walk, covered):
+        for (orbits, ms), k in zip(box_terms(h, values, max_support), ids):
             if mates.get(cover[k]):
                 classes.setdefault(cover[k], []).append(len(elements))
-                elements.append(BurnsideElement(h, {divs[j]: m for j, m in zip(idx, ms)}))
+                elements.append(BurnsideElement(h, dict(zip(orbits, ms))))
                 masks.append(cover[k])
     partners = {m: sorted(i for o in mates[m] for i in classes[o]) for m in classes}
     found = []

@@ -1,13 +1,25 @@
 """The mark-condition route to an ideal level, kept as the test oracle of
-``ideals.kernel_lattice``: the integer kernel of a condition matrix by
-the HNF of [A^T | I], whose intermediate entries grow, and the preimage
-of a congruence mod a prime by row reduction over F_p.
+``ideals.kernel_lattice``: the mark matrix written down entry by entry,
+the integer kernel of a condition matrix by the HNF of [A^T | I], whose
+intermediate entries grow, and the preimage of a congruence mod a prime
+by row reduction over F_p.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from tambara.intlattice import hnf
-from tambara.lattice import check_prime_or_zero
+from tambara.lattice import check_prime_or_zero, divisors
+
+
+@lru_cache(maxsize=None)
+def mark_table(h: int) -> tuple[tuple[int, ...], ...]:
+    """The mark matrix of A(C_h) over the ascending divisors of h: row i,
+    column k holds the mark at C_i of the orbit C_h/C_k, which is h/k
+    where i | k and 0 elsewhere."""
+    divs = divisors(h)
+    return tuple(tuple(h // k if k % i == 0 else 0 for k in divs) for i in divs)
 
 
 def kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:

@@ -16,13 +16,14 @@ from tambara.burnside import (
     ghost,
     ghost_from_json,
     ghost_to_json,
-    mark_table,
     marks,
     to_vector,
     unghost,
 )
 from tambara.gsets import fixed_points, realize
 from tambara.lattice import divisors, factorize
+
+from .lattice_oracle import mark_table
 
 
 def B(level, coeffs):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tambara import gsets
@@ -15,7 +17,7 @@ from tambara.gsets import (
 )
 from tambara.ideals import box_elements
 from tambara.lattice import divisors
-from tambara.maps import norm, transfer
+from tambara.maps import norm, restrict, transfer
 
 
 def nonneg_elements(level, max_size):
@@ -139,12 +141,60 @@ def test_map_set_examples():
     assert decompose(m3) == BurnsideElement(3, {3: 2, 1: 2})
 
 
-def test_map_set_budget():
+def test_map_set_budget(monkeypatch):
     ten = ConcreteGSet(1, tuple(range(10)))
     with pytest.raises(BudgetExceeded):
-        map_set(8, 1, ten, budget=10**6)
-    with pytest.raises(BudgetExceeded):
-        map_set(2, 1, ten, budget=99)
+        map_set(8, 1, ten)  # 10**8 maps, over DEFAULT_MAP_BUDGET
+    assert map_set(2, 1, ten).size == 100
+    # the cap is read when map_set is called
+    monkeypatch.setattr(gsets, "DEFAULT_MAP_BUDGET", 99)
+    with pytest.raises(BudgetExceeded, match="cap is 99"):
+        map_set(2, 1, ten)
+
+
+def restricted(s, k):
+    """The C_k-set underlying a C_h-set: C_k's generator acts as the
+    permutation raised to the power h/k."""
+    perm = tuple(range(s.size))
+    for _ in range(s.level // k):
+        perm = tuple(s.perm[i] for i in perm)
+    return ConcreteGSet(k, perm)
+
+
+def test_norm_is_multiplicative_on_g_sets():
+    # Map_K(H, X x Y) = Map_K(H, X) x Map_K(H, Y), and both are N(x * y)
+    cases = 0
+    for h in divisors(12):
+        for k in divisors(h):
+            xs = nonneg_elements(k, 4)
+            for x, y in itertools.combinations_with_replacement(xs, 2):
+                sx, sy = realize(x), realize(y)
+                # every map set below, the empty set's included, within 10**4
+                if (max(sx.size, 1) * max(sy.size, 1)) ** (h // k) > 10**4:
+                    continue
+                of_product = decompose(map_set(h, k, product(sx, sy)))
+                product_of = decompose(product(map_set(h, k, sx), map_set(h, k, sy)))
+                assert of_product == product_of == norm(x * y, h), (x, y, h)
+                cases += 1
+    assert cases == 625
+
+
+def test_frobenius_reciprocity_on_g_sets():
+    # (C_h x_{C_k} X) x Y = C_h x_{C_k} (X x res Y): tr(x) * y = tr(x * res y)
+    cases = 0
+    for h in divisors(12):
+        for k in divisors(h):
+            for y in nonneg_elements(h, 4):
+                sy = realize(y)
+                res_y = restricted(sy, k)
+                assert decompose(res_y) == restrict(y, k)
+                for x in nonneg_elements(k, 4):
+                    sx = realize(x)
+                    left = decompose(product(induce(sx, h), sy))
+                    right = decompose(induce(product(sx, res_y), h))
+                    assert left == right == transfer(x, h) * y == transfer(x * restrict(y, k), h)
+                    cases += 1
+    assert cases == 1475
 
 
 def test_map_set_level_checks():

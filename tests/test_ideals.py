@@ -10,6 +10,7 @@ from tambara.ideals import (
     IdealSpec,
     LevelLattice,
     box_elements,
+    box_terms,
     kernel_lattice,
     level_generators,
     member,
@@ -165,8 +166,9 @@ def test_level_lattice_rejects_non_ideal_span():
     # span of C_4/C_4 alone is not closed under multiplication by C_4/e
     with pytest.raises(AssertionError):
         LevelLattice.from_rows(4, [[0, 0, 1]])
-    # a basis given directly, as kernel_lattice gives it, is checked too
-    with pytest.raises(InvariantError):
+    # a basis given directly, as kernel_lattice gives it, is checked too,
+    # and the error names the first product that escapes the span
+    with pytest.raises(InvariantError, match=r"level 4 is not an ideal: C4/C4 \* C/C_1 escapes"):
         LevelLattice(4, ((0, 0, 1),))
 
 
@@ -325,14 +327,37 @@ def test_negative_box_bound_or_support_is_rejected(bound, max_support):
         primality_probe(IdealSpec(4, 2, 0), bound=bound, max_support=max_support)
 
 
+@pytest.mark.parametrize("level", [1, 12, 60])
+@pytest.mark.parametrize("values", [(-2, -1, 1, 2), (1, 2)])
+@pytest.mark.parametrize("max_support", [0, 1, 2, 3])
+def test_box_terms_order_is_size_then_orbits_then_coefficients(level, values, max_support):
+    # the probe's pair order and the oracle's case counts follow this
+    # order; the oracle enumerates every orbit tuple and sorts
+    divs = divisors(level)
+    rank = {m: r for r, m in enumerate(values)}
+    want = sorted(
+        (
+            (orbits, ms)
+            for size in range(max_support + 1)
+            for orbits in itertools.product(divs, repeat=size)
+            if list(orbits) == sorted(set(orbits))
+            for ms in itertools.product(values, repeat=size)
+        ),
+        key=lambda term: (len(term[0]), term[0], [rank[m] for m in term[1]]),
+    )
+    assert list(box_terms(level, values, max_support)) == want
+
+
 def test_box_over_the_limit_is_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(ideals, "BOX_LIMIT", 60)
     with pytest.raises(BudgetExceeded, match="61 elements"):
         box_elements(4, 2, 2)  # 1 + 3*4 + 3*16
+    with pytest.raises(BudgetExceeded, match="61 elements"):
+        box_terms(4, (-2, -1, 1, 2), 2)  # when called, before the first term is asked for
     assert len(box_elements(2, 2, 2)) == 25
     # the probe keeps the boxes of levels 1, 2 and 4 (5 + 25 + 61) and a
     # table of 3 * 3 * 5 marks, and refuses before reading any marks
-    monkeypatch.setattr(ideals, "mark_table", lambda h: pytest.fail(f"enumerated C_{h}"))
+    monkeypatch.setattr(ideals, "marks", lambda x, g: pytest.fail(f"read the marks of {x}"))
     with pytest.raises(BudgetExceeded, match="136 elements"):
         primality_probe(IdealSpec(4, 2, 0), bound=2)
 
@@ -342,7 +367,7 @@ def test_probe_budget_counts_every_level_and_the_table(monkeypatch):
     # levels (229) and the table (6 * 6 * 5 = 180) the probe keeps 674
     monkeypatch.setattr(ideals, "BOX_LIMIT", 300)
     assert len(box_elements(12, 2, 2)) == 265
-    monkeypatch.setattr(ideals, "mark_table", lambda h: pytest.fail(f"enumerated C_{h}"))
+    monkeypatch.setattr(ideals, "marks", lambda x, g: pytest.fail(f"read the marks of {x}"))
     with pytest.raises(BudgetExceeded, match="674 elements"):
         primality_probe(IdealSpec(12, 1, 2), bound=2, max_support=2)
 

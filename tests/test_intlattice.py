@@ -4,13 +4,12 @@ from math import gcd
 import pytest
 
 from tambara import ideals, intlattice
-from tambara.burnside import mark_table
 from tambara.ideals import IdealSpec, kernel_lattice
 from tambara.intlattice import hnf, in_row_span, is_sublattice, xgcd
 from tambara.lattice import divisors
 
 from . import lattice_oracle
-from .lattice_oracle import kernel, preimage_mod
+from .lattice_oracle import kernel, mark_table, preimage_mod
 
 
 def random_matrix(rng, rows, cols, bound=6):
@@ -184,9 +183,9 @@ def test_preimage_mod_prime_needs_no_xgcd(monkeypatch):
         raise AssertionError("row reduction over Z called")
 
     # kernel_lattice writes the canonical HNF down from the psi cells: it
-    # reads no mark table and runs no solver, for a prime p or for p = 0
+    # reads no marks and runs no solver, for a prime p or for p = 0
     monkeypatch.setattr(ideals, "hnf", forbidden)
-    monkeypatch.setattr(ideals, "mark_table", forbidden)
+    monkeypatch.setattr(ideals, "marks", forbidden)
     monkeypatch.setattr(intlattice, "hnf", forbidden)
     monkeypatch.setattr(intlattice, "xgcd", forbidden)
     kernel_lattice.cache_clear()

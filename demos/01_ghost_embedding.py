@@ -21,7 +21,7 @@ h = 12
 print(f"Transitive basis of A(C_{h}):")
 for k in divisors(h):
     x = BurnsideElement.transitive(h, k)
-    print(f"  C_{h}/C_{k}: {x.size()} points, marks {ghost(x).as_tuple()}")
+    print(f"  C_{h}/C_{k}: {x.mark(1)} points, marks {ghost(x).as_tuple()}")
 
 print()
 print("The t-notation names transitive sets by their size:")

@@ -20,7 +20,7 @@ import re
 from math import gcd
 from types import MappingProxyType
 
-from .lattice import check_prime_or_zero, divisors, factorize, require_divides
+from .lattice import divisors, factorize, require_divides
 
 
 class NotInGhostImage(ValueError):
@@ -72,10 +72,6 @@ class BurnsideElement:
         self.coeffs = MappingProxyType(clean)
 
     @classmethod
-    def zero(cls, level: int) -> "BurnsideElement":
-        return cls(level)
-
-    @classmethod
     def unit(cls, level: int) -> "BurnsideElement":
         """The one-point set C_h/C_h, the multiplicative unit."""
         return cls(level, {level: 1})
@@ -90,16 +86,6 @@ class BurnsideElement:
         require_divides(i, self.level, "mark subgroup")
         h = self.level
         return sum((h // k) * m for k, m in self.coeffs.items() if k % i == 0)
-
-    def mark_mod(self, i: int, p: int) -> int:
-        """The mark at C_i reduced mod p; p = 0 leaves it in Z."""
-        check_prime_or_zero(p)
-        v = self.mark(i)
-        return v % p if p else v
-
-    def size(self) -> int:
-        """Virtual cardinality, the mark at the trivial subgroup."""
-        return self.mark(1)
 
     def _require_same_level(self, other: "BurnsideElement") -> None:
         if self.level != other.level:

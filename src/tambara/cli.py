@@ -34,11 +34,11 @@ from .burnside import (
     unghost,
 )
 from .gsets import (
-    DEFAULT_MAP_BUDGET,
     decompose,
     fixed_points,
     induce,
     map_set,
+    map_set_size,
     realize,
 )
 from .ideals import (
@@ -278,8 +278,8 @@ def _oracle_points(check: str, n: int) -> int:
     closed form.  The box at level k (coefficients 1 or 2) realizes
     sigma(k)*(6*d(k) - 3) points on at most two orbits, and 3*sigma(k) on
     one; a transfer induces each set to every level k*q, q | n/k, and a
-    norm maps each set of s <= 4 points to s**q points when that is
-    within DEFAULT_MAP_BUDGET."""
+    norm maps each set of s <= 4 points to s**q points when
+    ``map_set_size`` finds that within its budget."""
     total = 0
     for k in divisors(n):
         divs = divisors(k)
@@ -291,10 +291,7 @@ def _oracle_points(check: str, n: int) -> int:
             total += 3 * sum(divs)
             sizes = [m * j for m in (1, 2) for j in (1, 2, 3, 4) if k % j == 0 and m * j <= 4]
             for q in divisors(n // k):
-                for size in sizes:
-                    # past the budget's bit length, size**q is over it unless size is 1
-                    maps = size ** min(q, DEFAULT_MAP_BUDGET.bit_length())
-                    total += maps if maps <= DEFAULT_MAP_BUDGET else 0
+                total += sum(map_set_size(size, q) or 0 for size in sizes)
     return total
 
 

@@ -26,8 +26,9 @@ DEFAULT_MAP_BUDGET = 10**6
 class ConcreteGSet:
     """A finite C_level-set: the generator acts by ``perm``.
 
-    ``cycles``, its cycle lengths, comes from the one walk that validation
-    makes; equality, hashing and repr see only ``level`` and ``perm``.
+    Level and entries are exact ints, the level at least 1.  ``cycles``,
+    its cycle lengths, comes from the one walk that validation makes;
+    equality, hashing and repr see only ``level`` and ``perm``.
     """
 
     level: int
@@ -35,6 +36,11 @@ class ConcreteGSet:
     cycles: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # the entry check runs in C: map sets have up to DEFAULT_MAP_BUDGET entries
+        if type(self.level) is not int or not {int}.issuperset(map(type, self.perm)):
+            raise TypeError(f"level and entries must be ints, got level {self.level!r}")
+        if self.level < 1:
+            raise ValueError(f"level must be a positive integer, got {self.level}")
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)):
             raise ValueError("action must be a permutation of 0..size-1")
@@ -128,6 +134,17 @@ def product(s: ConcreteGSet, t: ConcreteGSet) -> ConcreteGSet:
     return ConcreteGSet(s.level, tuple(perm))
 
 
+def map_set_size(size: int, q: int) -> int | None:
+    """The number of maps from q free points to a set of ``size`` points,
+    size**q, or None when that is past DEFAULT_MAP_BUDGET (read when
+    called).  A size of at least 2 raised to the budget's bit length is
+    already past it, so no power beyond that is ever taken."""
+    if size > 1 and q >= DEFAULT_MAP_BUDGET.bit_length():
+        return None
+    total = size**q
+    return total if total <= DEFAULT_MAP_BUDGET else None
+
+
 def map_set(h: int, k: int, x: ConcreteGSet) -> ConcreteGSet:
     """The C_h-set of C_k-equivariant maps C_h -> X.
 
@@ -137,17 +154,17 @@ def map_set(h: int, k: int, x: ConcreteGSet) -> ConcreteGSet:
     representative as the most significant digit.  The generator of C_h
     shifts representatives, feeding the overflow through the generator
     action on X.  Enumeration refuses (loudly) to exceed
-    DEFAULT_MAP_BUDGET elements, read when called.
+    DEFAULT_MAP_BUDGET elements, counted by ``map_set_size``.
     """
     require_divides(k, h, "map-set target")
     if x.level != k:
         raise ValueError(f"map_set source must live at level {k}, got {x.level}")
     q = h // k
     size = x.size
-    total = size**q
-    if total > DEFAULT_MAP_BUDGET:
+    total = map_set_size(size, q)
+    if total is None:
         raise BudgetExceeded(
-            f"map set would have {size}**{q} = {total} elements, cap is {DEFAULT_MAP_BUDGET}"
+            f"map set would have {size}**{q} elements, cap is {DEFAULT_MAP_BUDGET}"
         )
     if size == 0:
         return ConcreteGSet(h, ())

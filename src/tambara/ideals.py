@@ -23,7 +23,7 @@ from math import comb, gcd
 from operator import not_
 
 from .burnside import BurnsideElement, from_vector, marks, to_vector
-from .intlattice import hnf, in_row_span, is_sublattice
+from .intlattice import hnf, in_row_span
 from .lattice import (
     BudgetExceeded,
     InvariantError,
@@ -43,13 +43,16 @@ BOX_LIMIT = 10**5
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """Names the ideal attached to (C_c, p) inside the functor over C_n."""
+    """Names the ideal attached to (C_c, p) inside the functor over C_n.
+    n, c and p are exact ints, so 12.0 never shares 12's kernel_lattice entry."""
 
     n: int
     c: int
     p: int
 
     def __post_init__(self) -> None:
+        if not type(self.n) is type(self.c) is type(self.p) is int:
+            raise TypeError(f"n, c and p must be ints, got {self.n!r}, {self.c!r}, {self.p!r}")
         require_divides(self.c, self.n, "ideal subgroup")
         check_prime_or_zero(self.p)
 
@@ -152,7 +155,7 @@ class LevelLattice:
         """Is every element of ``other`` in this lattice?"""
         if other.level != self.level:
             raise ValueError("level mismatch")
-        return is_sublattice(other.basis, self.basis)
+        return all(in_row_span(self.basis, row) for row in other.basis)
 
     def same_span(self, other: "LevelLattice") -> bool:
         return self.level == other.level and self.basis == other.basis

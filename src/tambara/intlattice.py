@@ -70,8 +70,3 @@ def in_row_span(basis: list[list[int]], vec) -> bool:
         if q:
             v = [p - q * t for p, t in zip(v, row)]
     return not any(v)
-
-
-def is_sublattice(inner: list[list[int]], outer: list[list[int]]) -> bool:
-    """Does every row of ``inner`` lie in the span of ``outer``?"""
-    return all(in_row_span(outer, row) for row in inner)

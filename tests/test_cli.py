@@ -331,6 +331,18 @@ def test_oracle_commands(capsys):
             assert out == f"{check}: OK ({cases} cases)\n"
 
 
+def test_oracle_points_closed_form_values():
+    # the point counts the oracle budget is checked against, at n = 12, 30,
+    # 60, 360 and 55440
+    expected = {
+        "marks": [1347, 4494, 18501, 319644, 384140718],
+        "transfers": [4107, 14430, 71493, 1843740, 4993877934],
+        "norms": [9039, 162964, 314196, 8368900, 63367960],
+    }
+    for check, points in expected.items():
+        assert [cli._oracle_points(check, n) for n in (12, 30, 60, 360, 55440)] == points
+
+
 def _count_realized_points(monkeypatch):
     realized = []
 

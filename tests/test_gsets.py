@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -49,6 +50,12 @@ def test_gset_validates_permutation_and_order():
         ConcreteGSet(6, (1, 1, 0))  # not a permutation
     with pytest.raises(ValueError):
         ConcreteGSet(6, (1, 2, 3, 0))  # a 4-cycle has order 4, not dividing 6
+    for level, perm in ((0, ()), (-2, (1, 0))):
+        with pytest.raises(ValueError):
+            ConcreteGSet(level, perm)
+    for level, perm in ((2.0, ()), (True, (0,)), (2, (True, False)), (2, (1.0, 0.0))):
+        with pytest.raises(TypeError):
+            ConcreteGSet(level, perm)
 
 
 def test_realize_examples():
@@ -146,10 +153,32 @@ def test_map_set_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
         map_set(8, 1, ten)  # 10**8 maps, over DEFAULT_MAP_BUDGET
     assert map_set(2, 1, ten).size == 100
+    # 10**5000 maps has more digits than an int may print: still BudgetExceeded
+    with pytest.raises(BudgetExceeded):
+        map_set(5000, 1, ten)
+    # and 10**(10**7) is never built: the refusal comes at once
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        map_set(10**7, 1, ten)
+    assert time.perf_counter() - start < 1
     # the cap is read when map_set is called
     monkeypatch.setattr(gsets, "DEFAULT_MAP_BUDGET", 99)
     with pytest.raises(BudgetExceeded, match="cap is 99"):
         map_set(2, 1, ten)
+
+
+def test_map_set_size(monkeypatch):
+    assert gsets.map_set_size(10, 6) == 10**6 == gsets.DEFAULT_MAP_BUDGET
+    assert gsets.map_set_size(10, 7) is None
+    assert gsets.map_set_size(2, 19) == 2**19
+    assert gsets.map_set_size(2, 20) is None  # 2**20 is past 10**6
+    assert gsets.map_set_size(1, 10**9) == 1
+    assert gsets.map_set_size(0, 10**9) == 0
+    # the budget is read when called
+    monkeypatch.setattr(gsets, "DEFAULT_MAP_BUDGET", 99)
+    assert gsets.map_set_size(3, 4) == 81
+    assert gsets.map_set_size(2, 7) is None
+    assert gsets.map_set_size(1, 7) == 1
 
 
 def restricted(s, k):
@@ -207,7 +236,7 @@ def test_map_set_level_checks():
 def test_map_set_of_empty_is_empty():
     empty = ConcreteGSet(2, ())
     assert map_set(4, 2, empty).size == 0
-    assert decompose(map_set(4, 2, empty)) == BurnsideElement.zero(4)
+    assert decompose(map_set(4, 2, empty)) == BurnsideElement(4)
 
 
 def test_oracle_cross_checks_small():

@@ -45,6 +45,13 @@ def test_spec_validation():
         IdealSpec(12, 5, 0)  # 5 does not divide 12
     with pytest.raises(ValueError):
         IdealSpec(12, 2, 4)  # 4 is not prime or zero
+    with pytest.raises(ValueError):
+        IdealSpec(6, 1, 6)
+    # only exact ints: 12.0 would equal and hash like 12 and share its
+    # kernel_lattice cache entry; p = 2.0 is refused before factorize sees it
+    for args in ((12.0, 1, 2), (12, True, 2), (12, 2.0, 0), (True, 1, 0), (12, 1, 2.0)):
+        with pytest.raises(TypeError):
+            IdealSpec(*args)
     assert IdealSpec(12, 2, 3).label == "p_{C_2,3}"
 
 
@@ -52,8 +59,10 @@ def test_member_examples():
     assert member(IdealSpec(12, 2, 2), 2 * BurnsideElement.unit(12))
     assert not member(IdealSpec(12, 2, 0), T(12, 3))  # mark at e is 4
     for spec in (IdealSpec(12, 2, 0), IdealSpec(12, 12, 3)):
-        assert member(spec, BurnsideElement.zero(12))
-        assert member(spec, BurnsideElement.zero(4))
+        assert member(spec, BurnsideElement(12))
+        assert member(spec, BurnsideElement(4))
+    assert member(IdealSpec(2, 1, 2), B(2, {2: 2}))  # mark 2 at e
+    assert member(IdealSpec(6, 2, 3), B(6, {2: 1}))  # marks 3 at e and C_2
     with pytest.raises(ValueError):
         member(IdealSpec(12, 2, 0), B(5, {1: 1}))
 
@@ -69,10 +78,12 @@ def test_member_uses_gcd_levels():
 
 
 def member_by_mark_mod(spec, x):
-    """The oracle for ``member``: one ``mark_mod`` per divisor of gcd(h, c)."""
+    """The oracle for ``member``: one mark sum, reduced mod p (kept in Z
+    for p = 0), per divisor of gcd(h, c)."""
     h = x.level
     require_divides(h, spec.n, "element level")
-    return all(x.mark_mod(i, spec.p) == 0 for i in divisors(gcd(h, spec.c)))
+    p = spec.p
+    return all((x.mark(i) % p if p else x.mark(i)) == 0 for i in divisors(gcd(h, spec.c)))
 
 
 @pytest.mark.parametrize("n", [60, 360, 5040])
@@ -160,6 +171,11 @@ def test_lattice_member_examples():
     assert kernel_lattice(spec, 12).member(T(12, 4) - 3 * BurnsideElement.unit(12))
     with pytest.raises(ValueError):
         lat.member(BurnsideElement.unit(4))
+    four = ring_ideal_lattice(2, [4 * BurnsideElement.unit(2)])
+    assert lat.contains_lattice(four)
+    assert not four.contains_lattice(lat)
+    with pytest.raises(ValueError):
+        lat.contains_lattice(kernel_lattice(spec, 12))
 
 
 def test_level_lattice_rejects_non_ideal_span():
@@ -434,13 +450,13 @@ def _oracle_mask(e, slots):
     # bit per slot (i, p): the marks of e at every j | gcd(i, level) vanish mod p
     mask = 0
     for bit, (i, p) in enumerate(slots):
-        if all(e.mark_mod(j, p) == 0 for j in divisors(gcd(i, e.level))):
+        if all((e.mark(j) % p if p else e.mark(j)) == 0 for j in divisors(gcd(i, e.level))):
             mask |= 1 << bit
     return mask
 
 
 def _probe_oracle(specs, n, bound, max_support):
-    # the element-by-element route: a mark_mod mask per box element and a
+    # the element-by-element route: a mark mask per box element and a
     # quadratic loop over the pairs of non-members, in box order
     slots = list({(i, s.p) for s in specs for i in divisors(s.c)})
     full = (1 << len(slots)) - 1

@@ -5,7 +5,7 @@ import pytest
 
 from tambara import ideals, intlattice
 from tambara.ideals import IdealSpec, kernel_lattice
-from tambara.intlattice import hnf, in_row_span, is_sublattice, xgcd
+from tambara.intlattice import hnf, in_row_span, xgcd
 from tambara.lattice import divisors
 
 from . import lattice_oracle
@@ -81,13 +81,6 @@ def test_in_row_span_cases():
     assert not in_row_span(basis, [1, 0])
     assert in_row_span([], [0, 0])
     assert not in_row_span([], [1, 0])
-
-
-def test_is_sublattice():
-    two = hnf([[2, 0], [0, 2]])
-    four = hnf([[4, 0], [0, 4]])
-    assert is_sublattice(four, two)
-    assert not is_sublattice(two, four)
 
 
 def test_kernel_annihilates_and_is_complete():

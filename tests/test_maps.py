@@ -73,7 +73,7 @@ def test_restrict_preserves_marks():
 def test_transfer_examples():
     assert transfer(B(1, {1: 1}), 2) == B(2, {1: 1})  # tr(K/K) = H/K
     assert transfer(B(2, {1: 1}), 6) == B(6, {1: 1})
-    assert transfer(BurnsideElement.zero(3), 6) == BurnsideElement.zero(6)
+    assert transfer(BurnsideElement(3), 6) == BurnsideElement(6)
     with pytest.raises(ValueError):
         transfer(B(4, {1: 1}), 6)
 
@@ -108,7 +108,7 @@ def test_norm_prime_step_formula():
 def test_norm_of_unit_and_zero():
     for k, h in ((1, 12), (2, 12), (6, 6), (3, 12)):
         assert norm(BurnsideElement.unit(k), h) == BurnsideElement.unit(h)
-        assert norm(BurnsideElement.zero(k), h) == BurnsideElement.zero(h)
+        assert norm(BurnsideElement(k), h) == BurnsideElement(h)
 
 
 def test_norm_identity_when_levels_equal():

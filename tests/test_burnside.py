@@ -21,6 +21,7 @@ from tambara.burnside import (
     unghost,
 )
 from tambara.gsets import fixed_points, realize
+from tambara.ideals import IdealSpec, member
 from tambara.lattice import divisors, factorize
 
 from .lattice_oracle import mark_table
@@ -111,6 +112,20 @@ def test_mark_examples():
         assert BurnsideElement.unit(12).mark(i) == 1
     with pytest.raises(ValueError):
         x.mark(4)
+
+
+def test_mark_mod_examples():
+    # a mark reduced mod a prime p, or kept in Z for p = 0, as ``member``
+    # reads it at each C_i
+    assert B(2, {2: 2}).mark(1) % 2 == 0
+    assert B(6, {2: 1}).mark(2) % 3 == 0
+    assert member(IdealSpec(2, 1, 2), B(2, {2: 2}))
+    assert member(IdealSpec(6, 2, 3), B(6, {2: 1}))
+    x = B(6, {2: 1, 1: -2})
+    for i in divisors(6):
+        assert member(IdealSpec(6, i, 0), x) == all(x.mark(j) == 0 for j in divisors(i))
+    with pytest.raises(ValueError):
+        IdealSpec(6, 1, 6)  # 6 is not prime or zero
 
 
 def test_ghost_example_against_oracle():

@@ -83,6 +83,15 @@ def test_in_row_span_cases():
     assert not in_row_span([], [1, 0])
 
 
+def test_is_sublattice():
+    # a lattice lies inside another iff each of its HNF rows is in the
+    # other's row span, the check LevelLattice.contains_lattice makes
+    two = hnf([[2, 0], [0, 2]])
+    four = hnf([[4, 0], [0, 4]])
+    assert all(in_row_span(two, row) for row in four)
+    assert not all(in_row_span(four, row) for row in two)
+
+
 def test_kernel_annihilates_and_is_complete():
     rng = random.Random(5)
     for _ in range(100):

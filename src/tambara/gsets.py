@@ -36,15 +36,15 @@ class ConcreteGSet:
     cycles: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        require_divides(1, self.level, "level")
         # the entry check runs in C: map sets have up to DEFAULT_MAP_BUDGET entries
-        if type(self.level) is not int or not {int}.issuperset(map(type, self.perm)):
-            raise TypeError(f"level and entries must be ints, got level {self.level!r}")
-        if self.level < 1:
-            raise ValueError(f"level must be a positive integer, got {self.level}")
+        if not {int}.issuperset(map(type, self.perm)):
+            raise TypeError("entries must be ints")
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)):
             raise ValueError("action must be a permutation of 0..size-1")
         cycles = _cycle_lengths(self.perm)
+        # require_divides(length, level) inline: oracle requests check every cycle
         for length in cycles:
             if self.level % length != 0:
                 raise ValueError(

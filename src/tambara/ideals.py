@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -34,25 +35,25 @@ from .lattice import (
 )
 from .maps import norm, restrict
 
-# The most elements a box, or a probe's boxes and mark table together,
-# may hold.  The largest probe in the tests, demos and benchmark (n = 60,
-# bound 2, support 2) keeps 2,596 box elements and 720 table marks; the
-# probe takes about 5 us a box element, half a second at this cap.
+# The most elements a box, or a probe's boxes and mark table together, may
+# hold, and the most pairs a probe may return.  The largest probe in the
+# tests, demos and benchmark (n = 60, bound 2, support 2) keeps 2,596 box
+# elements and 720 table marks, at about 5 us a box element; the most pairs
+# there, 75,168, come from the family (12,1,2), (12,1,3) at bound 3.
 BOX_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
 class IdealSpec:
     """Names the ideal attached to (C_c, p) inside the functor over C_n.
-    n, c and p are exact ints, so 12.0 never shares 12's kernel_lattice entry."""
+    n, c and p are exact ints, and ``kernel_lattice``'s cache is typed, so
+    neither 12.0 nor True ever shares the kernel_lattice entry of 12 or 1."""
 
     n: int
     c: int
     p: int
 
     def __post_init__(self) -> None:
-        if not type(self.n) is type(self.c) is type(self.p) is int:
-            raise TypeError(f"n, c and p must be ints, got {self.n!r}, {self.c!r}, {self.p!r}")
         require_divides(self.c, self.n, "ideal subgroup")
         check_prime_or_zero(self.p)
 
@@ -161,7 +162,7 @@ class LevelLattice:
         return self.level == other.level and self.basis == other.basis
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kernel_lattice(spec: IdealSpec, h: int) -> LevelLattice:
     """The ideal's level at C_h as an integer lattice, written down in
     canonical HNF from its psi cells.
@@ -238,14 +239,16 @@ class QReport:
 
 
 def _family(family, n: int | None) -> tuple[int, tuple[IdealSpec, ...]]:
-    """The ambient order and the distinct specs, in first-seen order, of an
-    IdealSpec or a sequence of them."""
+    """The ambient order (n, which a non-empty family must share) and the
+    distinct specs, in first-seen order, of an IdealSpec or a sequence of them."""
     specs = (family,) if isinstance(family, IdealSpec) else family
     if not isinstance(specs, (list, tuple)) or not all(isinstance(s, IdealSpec) for s in specs):
         raise TypeError("a family is an IdealSpec or a sequence of IdealSpec values")
     ns = {s.n for s in specs}
     if len(ns) > 1:
         raise ValueError(f"family mixes ambient orders {sorted(ns)}")
+    if n is not None and ns - {n}:
+        raise ValueError(f"a family over C_{min(ns)} asked about C_{n}")
     if n is None and not ns:
         raise ValueError("an empty family needs the ambient order n")
     return (ns.pop() if n is None else n), tuple(dict.fromkeys(specs))
@@ -285,9 +288,11 @@ def q_check(family, a: BurnsideElement, b: BurnsideElement, n: int | None = None
 def _signed(bound: int, max_support: int) -> tuple[int, ...]:
     """The nonzero coefficients in [-bound, bound], ascending: none at
     support 0, whose box is the zero element whatever the bound.  A
-    negative bound or support raises ValueError, and more values than
-    BOX_LIMIT (a box over one orbit holds one more element) raise
-    BudgetExceeded before any is made."""
+    bound or support that is not an exact int raises TypeError, a negative
+    one ValueError, and more values than BOX_LIMIT (a box over one orbit
+    holds one more element) raise BudgetExceeded before any is made."""
+    if type(bound) is not int or type(max_support) is not int:
+        raise TypeError(f"box bound and support must be ints, got {bound!r} and {max_support!r}")
     if bound < 0 or max_support < 0:
         raise ValueError(f"box bound and support must be >= 0, got {bound} and {max_support}")
     if not max_support:
@@ -387,7 +392,7 @@ def primality_probe(
     of primality.  Before anything else, what the probe keeps is checked
     against BOX_LIMIT: the elements of every level's box plus the
     d(n)**2 * (2*bound + 1) marks of the top level's table ``scaled``
-    (none at support 0).
+    (none at support 0); the pairs it returns are checked before any is built.
 
     Q is decided without computing a norm.  Q(a, b) asks that the mark at
     C_i of N_K^L res_K a * N_K'^L res_K' b vanish mod p for every spec
@@ -422,9 +427,10 @@ def primality_probe(
     once).  Each distinct tuple is mapped to its mask once, and Q is
     decided between the distinct masks of the non-members: when no two
     of them complete each other to ``full``, the result is [] before any
-    element is built.  Otherwise a second pass over the boxes builds, in
-    box order and once each, the non-members whose mask has such a mate,
-    and groups them by mask to expand the pairs.
+    element is built.  Otherwise the pairs, the products of the class
+    sizes of mates, are counted against BOX_LIMIT, and a second pass over
+    the boxes builds, in box order and once each, the non-members whose
+    mask has such a mate, and groups them by mask to expand the pairs.
     """
     n, specs = _family(family, n)
     levels = divisors(n)
@@ -455,6 +461,9 @@ def primality_probe(
     mates = {m: [o for o in outside if m | o == full] for m in outside}
     if not any(mates.values()):
         return []
+    sizes = Counter(cover[k] for (*_, ids), cover in zip(walk, covered) for k in ids)
+    pairs = sum(sizes[m] * sizes[o] for m in mates for o in mates[m]) // 2
+    _check_budget(pairs, f"a probe returning {pairs} pairs")
     elements, masks, classes = [], [], {}  # each non-member with a mate; positions per mask
     for (h, _, _, ids), cover in zip(walk, covered):
         for (orbits, ms), k in zip(box_terms(h, values, max_support), ids):

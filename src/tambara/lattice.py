@@ -30,10 +30,11 @@ _DIVISORS: dict[int, tuple[int, ...]] = {}
 
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending: built once per n from its
-    factorization, returned as a fresh list.  An n that is not exactly an
-    int raises TypeError before the cache is read, so 12.0 and True never
-    hit the entries of 12 and 1.  More than DIVISOR_LIMIT divisors, counted
-    from the factorization, raise BudgetExceeded before any is built."""
+    factorization, returned as a fresh list.  The type half of
+    ``require_divides(1, n)`` is made inline, before the cache is read, so
+    12.0 and True never hit the entries of 12 and 1.  More than
+    DIVISOR_LIMIT divisors, counted from the factorization, raise
+    BudgetExceeded before any is built."""
     if type(n) is not int:
         raise TypeError(f"group order must be an int, got {n!r}")
     divs = _DIVISORS.get(n)
@@ -54,8 +55,12 @@ def divisors(n: int) -> list[int]:
 
 
 def require_divides(a: int, b: int, what: str = "subgroup") -> None:
-    if a < 1 or b % a != 0:
-        raise ValueError(f"{what}: {a} is not a divisor of {b}")
+    """The package's one check of a subgroup argument, C_a <= C_b: TypeError
+    unless a and b are exact ints, ValueError unless a, b >= 1 and a | b."""
+    if type(a) is not int or type(b) is not int:
+        raise TypeError(f"{what}: {a!r} and {b!r} must be ints")
+    if a < 1 or b < 1 or b % a:
+        raise ValueError(f"{what}: expected positive ints a | b, got a = {a}, b = {b}")
 
 
 @lru_cache(maxsize=None)
@@ -65,8 +70,10 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime_or_zero(p: int) -> int:
-    """Validate eagerly that p is zero or a prime; returns p."""
-    if p != 0 and not is_prime(p):
+    """The package's one check of p: an exact int, zero or a prime; returns p."""
+    if type(p) is not int:
+        raise TypeError(f"expected a prime or zero, got {p!r}")
+    if p and not is_prime(p):
         raise ValueError(f"expected a prime or zero, got {p}")
     return p
 
@@ -107,31 +114,18 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def prime_factors(n: int) -> list[int]:
-    return [p for p, _ in factorize(n)]
-
-
 def omega(n: int) -> int:
     """Number of prime factors of n counted with multiplicity."""
     return sum(e for _, e in factorize(n))
 
 
-def p_part(d: int, p: int) -> int:
-    """Largest power of the prime p dividing d."""
-    q = 1
-    while d % p == 0:
-        d //= p
-        q *= p
-    return q
-
-
 def o_p(d: int, p: int) -> int:
     """Order of the p-residual subgroup O^p(C_d): strip the p-part of d."""
-    if p == 0:
-        raise ValueError("O^p is undefined for p = 0")
     if not is_prime(p):
         raise ValueError(f"O^p needs a prime, got {p}")
-    return d // p_part(d, p)
+    while d % p == 0:
+        d //= p
+    return d
 
 
 @dataclass(frozen=True)

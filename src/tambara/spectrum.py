@@ -32,9 +32,9 @@ from .lattice import (
     InvariantError,
     check_prime_or_zero,
     divisors,
+    factorize,
     is_prime,
     o_p,
-    prime_factors,
 )
 
 
@@ -80,7 +80,7 @@ def default_primes(n: int) -> list[int]:
 
     This set realizes the longest containment chain in the spectrum.
     """
-    ps = set(prime_factors(n)) | {0}
+    ps = {p for p, _ in factorize(n)} | {0}
     q = 2
     while n % q == 0 or not is_prime(q):
         q += 1

@@ -21,7 +21,7 @@ from tambara.ideals import (
     primality_probe,
     ring_ideal_lattice,
 )
-from tambara.lattice import CyclicGroupCtx, divisors, omega, p_part, prime_factors
+from tambara.lattice import CyclicGroupCtx, divisors, factorize, o_p, omega
 from tambara.maps import ghost_res, ghost_tr, norm, norm_ghost, restrict, transfer
 from tambara.spectrum import (
     contains,
@@ -238,9 +238,10 @@ def test_criterion_8_tambara_generator_lemmas():
                     spec = IdealSpec(n, c, p)
                     # t_q - q one q-step above the q-part of c, for every
                     # prime q | n whose q-part of c is not all of n's
-                    for q in prime_factors(n):
-                        if p_part(c, q) != p_part(n, q):
-                            h = q * p_part(c, q)
+                    for q, _ in factorize(n):
+                        # the q-part of c is c // o_p(c, q)
+                        if c // o_p(c, q) != n // o_p(n, q):
+                            h = q * (c // o_p(c, q))
                             t_q = from_t(h, q) - q * BurnsideElement.unit(h)
                             assert member(spec, t_q), (spec.label, q)
                     if not p:

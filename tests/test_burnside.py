@@ -1,7 +1,7 @@
 import itertools
 import json
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -112,6 +112,16 @@ def test_mark_examples():
         assert BurnsideElement.unit(12).mark(i) == 1
     with pytest.raises(ValueError):
         x.mark(4)
+
+
+@pytest.mark.parametrize("i", [2.0, True, 0, -2], ids=repr)
+def test_mark_subgroup_must_be_a_positive_int(i):
+    # x.mark(2.0) and fixed_points(realize(x), 2.0) used to return 5
+    x = B(12, {4: 1, 12: 2})
+    error = ValueError if type(i) is int else TypeError
+    for call in (x.mark, partial(marks, x), partial(fixed_points, realize(x))):
+        with pytest.raises(error):
+            call(i)
 
 
 def test_mark_mod_examples():
@@ -311,11 +321,24 @@ def test_ghost_vector_validates_keys():
         lambda: GhostVector(2, {1: 1.5, 2: 1}),
         lambda: GhostVector(2, {1.0: 1, 2: 1}),
         lambda: GhostVector(2.0, {1: 1, 2: 1}),
+        lambda: B(True, {}),
+        lambda: GhostVector(True, {1: 1}),
     ],
-    ids=["value", "key", "bool", "level", "mark", "ghost-key", "ghost-level"],
+    ids=["value", "key", "bool", "level", "mark", "ghost-key", "ghost-level", "bool-level",
+         "ghost-bool-level"],
 )
 def test_constructors_reject_non_int(make):
     with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: B(0, {}), lambda: B(-6, {1: 1}), lambda: GhostVector(0, {}), lambda: GhostVector(-1, {})],
+    ids=["zero", "negative", "ghost-zero", "ghost-negative"],
+)
+def test_constructors_reject_non_positive_levels(make):
+    with pytest.raises(ValueError):
         make()
 
 

@@ -542,6 +542,23 @@ def test_non_decimal_integer_in_text_is_domain_error(capsys, argv):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "-n", "0", "--spec", "c=1,p=0", "--element", "t1@1"],
+        ["contains", "-n", "0", "c=1,p=0", "c=1,p=0"],
+        ["gens", "-n", "0", "--spec", "c=1,p=0", "--level", "3"],
+        ["map", "-n", "0", "--op", "res", "--from", "1", "--to", "1", "--element", "t1@1"],
+        ["member", "-n", "-12", "--spec", "c=1,p=2", "--element", "t1@1"],
+    ],
+)
+def test_non_positive_ambient_order_is_domain_error(capsys, argv):
+    # each of these used to answer for the "group" C_0: member printed false
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_integers_may_carry_surrounding_spaces(capsys):
     spaced = invoke(capsys, "spectrum", "-n", " 12 ", "--primes", " 0, 2 ,3 ")
     plain = invoke(capsys, "spectrum", "-n", "12", "--primes", "0,2,3")

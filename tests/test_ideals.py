@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import comb, gcd
 
 import pytest
@@ -53,6 +54,22 @@ def test_spec_validation():
         with pytest.raises(TypeError):
             IdealSpec(*args)
     assert IdealSpec(12, 2, 3).label == "p_{C_2,3}"
+
+
+@pytest.mark.parametrize("n, c, p", [(0, 1, 0), (-12, 1, 2), (-12, -1, 0), (0, 0, 0)])
+def test_spec_needs_a_positive_ambient_order(n, c, p):
+    # (0, 1, 0) and (-12, 1, 2) used to construct, since 0 % 1 == -12 % 1 == 0
+    with pytest.raises(ValueError):
+        IdealSpec(n, c, p)
+
+
+@pytest.mark.parametrize("h", [6.0, True], ids=repr)
+def test_kernel_lattice_refuses_a_non_int_level_on_a_warm_cache(h):
+    # the cache is typed: 6.0 and True must not be answered by the entries of 6 and 1
+    spec = IdealSpec(12, 2, 0)
+    assert kernel_lattice(spec, 6).level == 6 and kernel_lattice(spec, 1).level == 1
+    with pytest.raises(TypeError):
+        kernel_lattice(spec, h)
 
 
 def test_member_examples():
@@ -318,6 +335,20 @@ def test_callable_family_is_rejected():
     assert q_check([], unit, unit, n=2).holds
 
 
+def test_family_asked_about_another_order_is_refused():
+    # primality_probe(family, n=4) used to answer for C_4 with 48 pairs
+    family = [IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)]
+    unit = BurnsideElement.unit(2)
+    with pytest.raises(ValueError, match="C_12 asked about C_4"):
+        primality_probe(family, n=4, bound=1)
+    with pytest.raises(ValueError):
+        primality_probe(IdealSpec(12, 1, 2), n=6)
+    with pytest.raises(ValueError):
+        q_check(family, unit, unit, n=4)
+    assert primality_probe(family, n=12, bound=1) == primality_probe(family, bound=1)
+    assert q_check(family, unit, unit, n=12) == q_check(family, unit, unit)
+
+
 def test_box_elements_counts():
     # support <= 2, coefficients in [-2,2]\{0} at level 12: 1 + 6*4 + 15*16
     assert len(box_elements(12, 2, 2)) == 1 + 24 + 240
@@ -341,6 +372,15 @@ def test_negative_box_bound_or_support_is_rejected(bound, max_support):
         box_elements(4, bound, max_support)
     with pytest.raises(ValueError):
         primality_probe(IdealSpec(4, 2, 0), bound=bound, max_support=max_support)
+
+
+@pytest.mark.parametrize("bound, max_support", [(True, 2), (2, True), (2.0, 2), (2, 2.0), ("2", 2)])
+def test_non_int_box_bound_or_support_is_rejected(bound, max_support):
+    # box_elements(2, True) used to return the 9 elements of bound 1
+    with pytest.raises(TypeError):
+        box_elements(2, bound, max_support)
+    with pytest.raises(TypeError):
+        primality_probe([IdealSpec(4, 1, 2), IdealSpec(4, 1, 3)], bound=bound, max_support=max_support)
 
 
 @pytest.mark.parametrize("level", [1, 12, 60])
@@ -392,6 +432,26 @@ def test_probe_box_past_the_default_limit_is_refused():
     assert ideals.BOX_LIMIT < 1 + 2 * 10**5
     with pytest.raises(BudgetExceeded):
         primality_probe(IdealSpec(1, 1, 0), bound=10**5)
+
+
+def test_probe_pairs_past_the_limit_are_refused_before_any_is_built(monkeypatch):
+    # 16,104 box elements, within BOX_LIMIT, whose pairs number 12,777,600
+    family = [IdealSpec(360, 1, 2), IdealSpec(360, 1, 3)]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="12777600 pairs"):
+        primality_probe(family, bound=2)
+    assert time.perf_counter() - start < 1.0
+    # on the cached walk, the count is refused before any element is built
+    monkeypatch.setattr(ideals, "BurnsideElement", lambda *a: pytest.fail("built an element"))
+    with pytest.raises(BudgetExceeded, match="12777600 pairs"):
+        primality_probe(family, bound=2)
+
+
+def test_probe_pairs_within_the_limit_are_returned():
+    # the benchmark's family: the most pairs of any probe in the tests,
+    # demos and benchmark
+    family = [IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)]
+    assert len(primality_probe(family, bound=3)) == 75_168 <= ideals.BOX_LIMIT
 
 
 def test_support_zero_box_is_the_zero_element_whatever_the_bound():
@@ -517,6 +577,13 @@ def _cold_probe(family):
     return primality_probe(family, bound=2)
 
 
+def _probe_or_refusal(family):
+    try:
+        return primality_probe(family, bound=2)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
 def _assert_walk_within_the_limit(family):
     # the walk of the family's probe, still the cached one, read back by a call that hits
     hits = ideals._walk.cache_info().hits
@@ -532,14 +599,20 @@ def _assert_walk_within_the_limit(family):
 def test_probe_results_do_not_depend_on_call_order(monkeypatch, limit):
     # the families at n = 12 and n = 20 take turns, so each of their
     # probes replaces the one cached walk; at limit 1000 each probe keeps
-    # 674 of the allowed elements
+    # 674 of the allowed elements, and each family's 12,312 or 10,416
+    # pairs are refused after its walk
     if limit:
         monkeypatch.setattr(ideals, "BOX_LIMIT", limit)
     cases = _probe_cases()
-    cold = [_cold_probe(f) for f in cases]
+    cold = []
+    for f in cases:
+        ideals._walk.cache_clear()
+        cold.append(_probe_or_refusal(f))
     assert any(cold) and not all(cold)
+    refused = [type(r) is str for r in cold]
+    assert refused == [bool(limit) and isinstance(f, list) for f in cases]
     for order in (cases, cases[::-1], cases):
-        warm = {id(f): primality_probe(f, bound=2) for f in order}
+        warm = {id(f): _probe_or_refusal(f) for f in order}
         assert [warm[id(f)] for f in cases] == cold
         _assert_walk_within_the_limit(next(f for f in order[::-1] if isinstance(f, list)))
 

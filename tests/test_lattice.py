@@ -12,6 +12,7 @@ from tambara.lattice import (
     is_prime,
     o_p,
     omega,
+    require_divides,
     s_partition,
 )
 
@@ -103,6 +104,39 @@ def test_check_prime_or_zero():
     for bad in (1, 4, 6, 9, -2):
         with pytest.raises(ValueError):
             check_prime_or_zero(bad)
+    # 2.0 used to reach factorize and fail there with AttributeError
+    assert is_prime(2)
+    for bad in (2.0, 0.0, True, False, "2"):
+        with pytest.raises(TypeError):
+            check_prime_or_zero(bad)
+
+
+@pytest.mark.parametrize(
+    "a, b, error",
+    [
+        (2.0, 12, TypeError),
+        (2, 12.0, TypeError),
+        (True, 12, TypeError),
+        (2, True, TypeError),
+        ("2", 12, TypeError),
+        (0, 12, ValueError),
+        (1, 0, ValueError),
+        (-2, 12, ValueError),
+        (1, -12, ValueError),
+        (-1, -12, ValueError),
+        (5, 12, ValueError),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_require_divides_rejects(a, b, error):
+    with pytest.raises(error):
+        require_divides(a, b, "subgroup")
+
+
+def test_require_divides_accepts_every_divisor():
+    for b in (1, 12, 360):
+        for a in divisors(b):
+            require_divides(a, b)
 
 
 def test_o_p_examples():

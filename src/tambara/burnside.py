@@ -70,6 +70,15 @@ class BurnsideElement:
         self.coeffs = MappingProxyType(clean)
 
     @classmethod
+    def _from_box(cls, level: int, coeffs: dict[int, int]) -> "BurnsideElement":
+        """A box element, without the per-key checks: ``box_terms`` already
+        keys ``coeffs`` by ascending divisors with nonzero int coefficients."""
+        x = object.__new__(cls)
+        x.level = level
+        x.coeffs = MappingProxyType(coeffs)
+        return x
+
+    @classmethod
     def unit(cls, level: int) -> "BurnsideElement":
         """The one-point set C_h/C_h, the multiplicative unit."""
         return cls(level, {level: 1})

@@ -269,7 +269,7 @@ def _box_gsets(level: int, max_support: int):
     """(x, realize(x)) for the G-sets x of the oracle box at a level
     (coefficients 1 or 2 on at most max_support orbits), in box order."""
     for orbits, ms in box_terms(level, (1, 2), max_support):
-        x = BurnsideElement(level, dict(zip(orbits, ms)))
+        x = BurnsideElement._from_box(level, dict(zip(orbits, ms)))
         yield x, realize(x)
 
 

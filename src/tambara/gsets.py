@@ -53,6 +53,14 @@ class ConcreteGSet:
                 )
         object.__setattr__(self, "cycles", cycles)
 
+    @classmethod
+    def _built(cls, level: int, perm: tuple[int, ...]) -> "ConcreteGSet":
+        """A set from this module's builders, whose permutation is valid by
+        construction: the checks are skipped and only the cycles walked."""
+        s = object.__new__(cls)
+        vars(s).update(level=level, perm=perm, cycles=_cycle_lengths(perm))
+        return s
+
     @property
     def size(self) -> int:
         return len(self.perm)
@@ -92,7 +100,7 @@ def realize(x: BurnsideElement) -> ConcreteGSet:
         for _ in range(m):
             base = len(perm)
             perm.extend(base + (i + 1) % orbit for i in range(orbit))
-    return ConcreteGSet(h, tuple(perm))
+    return ConcreteGSet._built(h, tuple(perm))
 
 
 def fixed_points(s: ConcreteGSet, i: int) -> int:
@@ -119,7 +127,7 @@ def induce(s: ConcreteGSet, h: int) -> ConcreteGSet:
     wrapping through the original action."""
     k = s.level
     require_divides(k, h, "induction target")
-    return ConcreteGSet(h, tuple(range(s.size, h // k * s.size)) + s.perm)
+    return ConcreteGSet._built(h, tuple(range(s.size, h // k * s.size)) + s.perm)
 
 
 def product(s: ConcreteGSet, t: ConcreteGSet) -> ConcreteGSet:
@@ -131,7 +139,7 @@ def product(s: ConcreteGSet, t: ConcreteGSet) -> ConcreteGSet:
     for x in range(s.size):
         for y in range(m):
             perm.append(s.perm[x] * m + t.perm[y])
-    return ConcreteGSet(s.level, tuple(perm))
+    return ConcreteGSet._built(s.level, tuple(perm))
 
 
 def map_set_size(size: int, q: int) -> int | None:
@@ -167,7 +175,7 @@ def map_set(h: int, k: int, x: ConcreteGSet) -> ConcreteGSet:
             f"map set would have {size}**{q} elements, cap is {DEFAULT_MAP_BUDGET}"
         )
     if size == 0:
-        return ConcreteGSet(h, ())
+        return ConcreteGSet._built(h, ())
     # map first * size**(q-1) + rest goes to rest * size + x.perm[first]
     rests = range(0, total, size)  # rest * size, for every rest
-    return ConcreteGSet(h, tuple(rest + image for image in x.perm for rest in rests))
+    return ConcreteGSet._built(h, tuple(rest + image for image in x.perm for rest in rests))

@@ -339,7 +339,7 @@ def box_elements(level: int, bound: int, max_support: int = 2) -> list[BurnsideE
     """All elements at the level with at most ``max_support`` nonzero
     coefficients, each in [-bound, bound], in the order of ``box_terms``."""
     return [
-        BurnsideElement(level, dict(zip(orbits, ms)))
+        BurnsideElement._from_box(level, dict(zip(orbits, ms)))
         for orbits, ms in box_terms(level, _signed(bound, max_support), max_support)
     ]
 
@@ -430,7 +430,12 @@ def primality_probe(
     element is built.  Otherwise the pairs, the products of the class
     sizes of mates, are counted against BOX_LIMIT, and a second pass over
     the boxes builds, in box order and once each, the non-members whose
-    mask has such a mate, and groups them by mask to expand the pairs.
+    mask has such a mate, and puts each into its mask's class.  The
+    classes of a mask's mates are merged once into one list of partner
+    elements in box order, next to their positions, and each kept element
+    is paired with the partners from its own position on, found by
+    bisection.  Box elements skip the constructor's per-key checks
+    (``BurnsideElement._from_box``): ``box_terms`` makes their keys.
     """
     n, specs = _family(family, n)
     levels = divisors(n)
@@ -464,17 +469,21 @@ def primality_probe(
     sizes = Counter(cover[k] for (*_, ids), cover in zip(walk, covered) for k in ids)
     pairs = sum(sizes[m] * sizes[o] for m in mates for o in mates[m]) // 2
     _check_budget(pairs, f"a probe returning {pairs} pairs")
-    elements, masks, classes = [], [], {}  # each non-member with a mate; positions per mask
+    by_mask = {m: [] for m in mates if mates[m]}  # per kept mask, its (position, element)s
+    kept = []  # each non-member with a mate, as (element, mask), in box order
     for (h, _, _, ids), cover in zip(walk, covered):
         for (orbits, ms), k in zip(box_terms(h, values, max_support), ids):
-            if mates.get(cover[k]):
-                classes.setdefault(cover[k], []).append(len(elements))
-                elements.append(BurnsideElement(h, dict(zip(orbits, ms))))
-                masks.append(cover[k])
-    partners = {m: sorted(i for o in mates[m] for i in classes[o]) for m in classes}
+            m = cover[k]
+            if m in by_mask:
+                x = BurnsideElement._from_box(h, dict(zip(orbits, ms)))
+                by_mask[m].append((len(kept), x))
+                kept.append((x, m))
+    partners = {}  # per kept mask, the positions and elements of its mates, in box order
+    for m in by_mask:
+        merged = sorted(itertools.chain.from_iterable(by_mask[o] for o in mates[m]))
+        partners[m] = [i for i, _ in merged], [x for _, x in merged]
     found = []
-    for a, mask in enumerate(masks):
-        ixs = partners[mask]
-        partner = map(elements.__getitem__, ixs[bisect_left(ixs, a) :])
-        found.extend(zip(itertools.repeat(elements[a]), partner))
+    for a, (x, m) in enumerate(kept):
+        positions, xs = partners[m]
+        found.extend(zip(itertools.repeat(x), xs[bisect_left(positions, a) :]))
     return found

@@ -120,7 +120,12 @@ def omega(n: int) -> int:
 
 
 def o_p(d: int, p: int) -> int:
-    """Order of the p-residual subgroup O^p(C_d): strip the p-part of d."""
+    """Order of the p-residual subgroup O^p(C_d): strip the p-part of d,
+    an exact int >= 1 (checked inline, as ``require_divides`` would)."""
+    if type(d) is not int:
+        raise TypeError(f"O^p needs an int order, got {d!r}")
+    if d < 1:
+        raise ValueError(f"O^p needs an order >= 1, got {d}")
     if not is_prime(p):
         raise ValueError(f"O^p needs a prime, got {p}")
     while d % p == 0:

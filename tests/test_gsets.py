@@ -5,6 +5,7 @@ import pytest
 
 from tambara import gsets
 from tambara.burnside import BurnsideElement
+from tambara.cli import run
 from tambara.gsets import (
     BudgetExceeded,
     ConcreteGSet,
@@ -100,6 +101,30 @@ def test_cycles_are_walked_once_per_gset(monkeypatch):
     assert t.cycles == (3,)
     assert t == ConcreteGSet(6, (1, 2, 0)) and hash(t) == hash((6, (1, 2, 0)))
     assert repr(t) == "ConcreteGSet(level=6, perm=(1, 2, 0))"
+
+
+def test_oracle_sets_built_unchecked_pass_the_public_checks(monkeypatch, capsys):
+    # realize, induce, product and map_set skip the checks of ConcreteGSet;
+    # every set the CLI oracle builds at n = 12 must pass them anyway
+    built = []
+    unchecked = ConcreteGSet._built
+
+    def recorded(cls, level, perm):
+        built.append(unchecked(level, perm))
+        return built[-1]
+
+    monkeypatch.setattr(ConcreteGSet, "_built", classmethod(recorded))
+    for check in ("marks", "transfers", "norms"):
+        assert run(["oracle", "--check", check, "-n", "12"]) == 0
+    assert "OK" in capsys.readouterr().out
+    assert {s.level for s in built} == set(divisors(12))
+    for s in built:
+        checked = ConcreteGSet(s.level, s.perm)
+        assert s == checked and s.cycles == checked.cycles
+    x = BurnsideElement(6, {2: 1, 3: 2})
+    for s in (product(realize(x), realize(x)), map_set(6, 3, realize(BurnsideElement(3, {1: 1})))):
+        checked = ConcreteGSet(s.level, s.perm)
+        assert s == checked and s.cycles == checked.cycles
 
 
 def test_realize_decompose_roundtrip():

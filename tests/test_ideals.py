@@ -544,6 +544,7 @@ ORACLE_CASES = [
     ([IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)], 3, 2),  # 75,168 pairs
     ([IdealSpec(6, 2, 2), IdealSpec(6, 3, 3)], 2, 2),
     ([IdealSpec(12, 2, 2), IdealSpec(12, 3, 3), IdealSpec(12, 4, 5)], 2, 2),
+    ([IdealSpec(20, 2, 2), IdealSpec(20, 5, 5)], 2, 2),  # 10,416 pairs
 ]
 
 
@@ -558,6 +559,26 @@ def test_probe_matches_element_by_element_oracle(specs, bound, max_support):
     assert primality_probe(family, bound=bound, max_support=max_support) == expected
     if len(specs) > 1:
         assert expected  # the families are not prime, so the comparison is not vacuous
+
+
+def test_equal_elements_of_one_probe_result_are_one_object():
+    # each kept element is built once and shared by all of its pairs
+    found = _cold_probe([IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)])
+    objects = {}
+    for x in itertools.chain.from_iterable(found):
+        assert objects.setdefault(x, x) is x
+    assert len(objects) == 282 < 2 * len(found)
+
+
+def test_box_elements_built_unchecked_equal_checked_ones():
+    # box elements skip the constructor's per-key checks; each must equal,
+    # and hash like, the element the checks build from the same coefficients
+    box = box_elements(60, 2)
+    assert len(box) == 1 + 12 * 4 + 66 * 16
+    for x in box:
+        checked = BurnsideElement(x.level, dict(x.coeffs))
+        assert x == checked and hash(x) == hash(checked)
+        assert list(x.coeffs) == sorted(x.coeffs) and all(x.coeffs.values())
 
 
 def _probe_cases():

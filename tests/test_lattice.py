@@ -152,6 +152,13 @@ def test_o_p_rejects_zero_and_composites():
         o_p(12, 4)
 
 
+@pytest.mark.parametrize("d, error", [(0, ValueError), (-4, ValueError), (12.0, TypeError), (True, TypeError)])
+def test_o_p_rejects_an_order_that_is_not_an_int_of_at_least_one(d, error):
+    # o_p(0, 2) used to loop forever, and o_p(12.0, 2) returned 3.0
+    with pytest.raises(error):
+        o_p(d, 2)
+
+
 def test_o_p_idempotent():
     for d in divisors(720):
         for p in (2, 3, 5, 7):

@@ -11,6 +11,10 @@ ideal level's HNF down cell by cell.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import compress, count
+from operator import sub
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, x, y) with g = a*x + b*y, g >= 0."""
@@ -57,16 +61,18 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     return m[:r]
 
 
-def in_row_span(basis: list[list[int]], vec) -> bool:
-    """Is vec an integer combination of the (HNF) basis rows?"""
+def in_row_span(basis: Sequence[Sequence[int]], vec) -> bool:
+    """Is vec an integer combination of the (HNF) basis rows?  Each row's
+    pivot search and each reduction of vec run in C, with no bytecode
+    step per entry."""
     v = list(vec)
     for row in basis:
-        c = next((j for j, e in enumerate(row) if e), None)
+        c = next(compress(count(), row), None)
         if c is None:
             continue
         q, rem = divmod(v[c], row[c])
         if rem:
             return False
         if q:
-            v = [p - q * t for p, t in zip(v, row)]
+            v = list(map(sub, v, map(q.__mul__, row)))
     return not any(v)

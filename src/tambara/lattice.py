@@ -65,7 +65,11 @@ def require_divides(a: int, b: int, what: str = "subgroup") -> None:
 
 @lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
-    """Is p a prime, i.e. p >= 2 and its factorization is p itself?"""
+    """Is p a prime, i.e. p >= 2 and its factorization is p itself?  A p
+    that is not exactly an int raises TypeError; the check runs on cache
+    misses only, and a raise is not cached."""
+    if type(p) is not int:
+        raise TypeError(f"primality needs an int, got {p!r}")
     return p >= 2 and factorize(p) == ((p, 1),)
 
 
@@ -121,7 +125,8 @@ def omega(n: int) -> int:
 
 def o_p(d: int, p: int) -> int:
     """Order of the p-residual subgroup O^p(C_d): strip the p-part of d,
-    an exact int >= 1 (checked inline, as ``require_divides`` would)."""
+    an exact int >= 1 (checked inline, as ``require_divides`` would).  A
+    non-int p is refused by ``is_prime`` (TypeError), a non-prime here."""
     if type(d) is not int:
         raise TypeError(f"O^p needs an int order, got {d!r}")
     if d < 1:

@@ -44,13 +44,6 @@ def _residual(c: int, q: int) -> int:
     return c if q == 0 else o_p(c, q)
 
 
-def _contained(gap, pa: int, ca: int, pb: int, cb: int) -> bool:
-    """Is the point (C_ca, pa) inside the point (C_cb, pb)?  Exactly when
-    pa is 0 or pb and ``gap`` of the two pb-residual keys is 0: ``mod``
-    for divisibility (the Tambara spectrum), ``sub`` for equality (Dress)."""
-    return pa in (0, pb) and not gap(_residual(ca, pb), _residual(cb, pb))
-
-
 def contains(a: IdealSpec, b: IdealSpec) -> bool:
     """Symbolic containment: is the ideal a inside the ideal b?
 
@@ -62,7 +55,7 @@ def contains(a: IdealSpec, b: IdealSpec) -> bool:
     """
     if a.n != b.n:
         raise ValueError(f"mismatched ambient groups C_{a.n} vs C_{b.n}")
-    return _contained(mod, a.p, a.c, b.p, b.c)
+    return a.p in (0, b.p) and _residual(a.c, b.p) % _residual(b.c, b.p) == 0
 
 
 def contains_semantic(a: IdealSpec, b: IdealSpec) -> bool:
@@ -118,13 +111,16 @@ class SpectrumPoset:
 
 def _build_poset(n: int, primes, point, gap) -> SpectrumPoset:
     """One point ``point(rep, p)`` per equality class over the prime set,
-    sorted by (rep, p), and the relation ``_contained(gap, ...)`` as one
-    bitmask per point.
+    sorted by (rep, p), and the containment relation as one bitmask per
+    point: (C_ca, pa) lies in (C_cb, pb) exactly when pa is 0 or pb and
+    ``gap`` of the two pb-residual keys is 0, ``mod`` for divisibility (the
+    Tambara spectrum) and ``sub`` for equality (Dress).
 
     For p = 0 or p not dividing n every divisor is its own class; for
     p | n classes are keyed by the p-free part, represented by the p-free
-    divisor itself.  A prime that is not exactly an int is rejected, not
-    coerced.
+    divisor itself.  A prime or an n that is not exactly an int is
+    rejected, not coerced, by ``check_prime_or_zero`` and ``divisors``
+    (TypeError).
 
     The points of layer q (those with p = q) have keys _residual(rep, q),
     and every residual of a divisor under q is one of them.  So for each
@@ -143,9 +139,6 @@ def _build_poset(n: int, primes, point, gap) -> SpectrumPoset:
     """
     if not primes:
         raise ValueError("the prime set must be non-empty")
-    for p in primes:
-        if type(p) is not int:
-            raise ValueError(f"primes must be ints, got {p!r}")
     ps = sorted({check_prime_or_zero(p) for p in primes})
     classes = sorted(
         (rep, p, merged) for p in ps for rep, merged in _canonical_classes(n, p)
@@ -227,11 +220,6 @@ class DressPoint:
         return f"ker_phi^{{C_{self.d}}}_{self.p}"
 
 
-def dress_contains(a: DressPoint, b: DressPoint) -> bool:
-    """Containment of mark kernels: equal classes, or zero below prime."""
-    return _contained(sub, a.p, a.d, b.p, b.d)
-
-
 def dress_spectrum(ctx: CyclicGroupCtx, primes) -> SpectrumPoset:
     """Spec of the Burnside ring A(C_n) over the prime set, deduplicated
     by the same p-free classes as the Tambara spectrum."""
@@ -305,8 +293,6 @@ def poset_from_json(text: str) -> SpectrumPoset:
     and ``primes``; the listed points must be exactly the recomputed ones."""
     doc = json.loads(text)
     n = doc["n"]
-    if type(n) is not int:
-        raise ValueError(f"JSON 'n' must be an integer, got {n!r}")
     poset = _build_poset(n, doc["primes"], partial(IdealSpec, n), mod)
     listed = [(pt["c"], pt["p"], pt["merged"]) for pt in doc["points"]]
     if listed != [(pt.c, pt.p, list(m)) for pt, m in zip(poset.points, poset.merged)]:

@@ -159,6 +159,16 @@ def test_o_p_rejects_an_order_that_is_not_an_int_of_at_least_one(d, error):
         o_p(d, 2)
 
 
+@pytest.mark.parametrize("call", [is_prime, lambda p: o_p(12, p)], ids=["is_prime", "o_p"])
+@pytest.mark.parametrize("p", [2.0, True, "2"], ids=repr)
+def test_is_prime_and_o_p_reject_a_non_int_p(call, p):
+    # 2.0 and "2" used to reach factorize (AttributeError), and o_p(12, True)
+    # raised ValueError as for a non-prime
+    with pytest.raises(TypeError):
+        call(p)
+    assert is_prime(2) and o_p(12, 2) == 3
+
+
 def test_o_p_idempotent():
     for d in divisors(720):
         for p in (2, 3, 5, 7):

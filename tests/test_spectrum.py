@@ -11,7 +11,6 @@ from tambara.spectrum import (
     contains,
     contains_semantic,
     default_primes,
-    dress_contains,
     dress_spectrum,
     enumerate_spectrum,
     export_dot,
@@ -24,6 +23,19 @@ from tambara.spectrum import (
 
 def spec(n, c, p):
     return IdealSpec(n, c, p)
+
+
+def dress_contains(a: DressPoint, b: DressPoint) -> bool:
+    """Containment of mark kernels, from the decision table: a lies in b
+    iff p_a is 0 or p_b and the p_b-free parts of d_a and d_b are equal
+    (d itself when p_b = 0)."""
+
+    def free(d):
+        while b.p and d % b.p == 0:
+            d //= b.p
+        return d
+
+    return a.p in (0, b.p) and free(a.d) == free(b.d)
 
 
 def krull_oracle(rel) -> int:
@@ -184,8 +196,9 @@ def test_enumerate_rejects_bad_primes():
     ids=str,
 )
 def test_spectrum_rejects_non_int_primes(build, primes):
-    # int() would have read each of these as a valid prime set
-    with pytest.raises(ValueError):
+    # int() would have read each of these as a valid prime set;
+    # check_prime_or_zero refuses them
+    with pytest.raises(TypeError):
         build(CyclicGroupCtx(6), primes)
 
 
@@ -332,10 +345,11 @@ def test_poset_from_json_rejects_points_not_in_the_spectrum():
     ids=str,
 )
 def test_poset_from_json_rejects_non_int_n_and_primes(n, edit):
-    # each edited export of C_n over [0, 2] reads as the unedited one under int()
+    # each edited export of C_n over [0, 2] reads as the unedited one under
+    # int(); divisors and check_prime_or_zero refuse them
     doc = json.loads(export_json(enumerate_spectrum(CyclicGroupCtx(n), [0, 2])))
     doc.update(edit)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         poset_from_json(json.dumps(doc))
 
 

@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from tambara.lattice import CyclicGroupCtx
 from tambara.spectrum import (
     contains,
-    dress_contains,
     dress_spectrum,
     enumerate_spectrum,
     hasse_edges,
     krull_dimension,
 )
 
-from .test_spectrum import krull_oracle
+from .test_spectrum import dress_contains, krull_oracle
 
 SMOOTH_LIMIT = 5000
 

@@ -36,10 +36,11 @@ from .lattice import (
 from .maps import norm, restrict
 
 # The most elements a box, or a probe's boxes and mark table together, may
-# hold, and the most pairs a probe may return.  The largest probe in the
-# tests, demos and benchmark (n = 60, bound 2, support 2) keeps 2,596 box
-# elements and 720 table marks, at about 5 us a box element; the most pairs
-# there, 75,168, come from the family (12,1,2), (12,1,3) at bound 3.
+# hold, and the most pairs a probe may return.  A single ideal keeps none.
+# The largest family probe in the tests (two points at n = 360, bound 2,
+# support 2) keeps 16,104 box elements and 2,880 table marks, at about 5 us
+# a box element; the most pairs in the tests, demos and benchmark, 75,168,
+# come from the family (12,1,2), (12,1,3) at bound 3.
 BOX_LIMIT = 10**5
 
 
@@ -389,8 +390,12 @@ def primality_probe(
     level in ``box_elements`` order, and returns every pair (a, b) with a
     not after b for which Q holds although neither element is a member.
     An empty result means no falsification at this scale, never a proof
-    of primality.  Before anything else, what the probe keeps is checked
-    against BOX_LIMIT: the elements of every level's box plus the
+    of primality.  The family, n, bound and support are checked first (a
+    bound of more than BOX_LIMIT coefficient values raises BudgetExceeded).
+    A single ideal keeps nothing: it is answered by the lemma below right
+    after these checks, and no box is sized.  For a larger family, what
+    the probe keeps is then checked against BOX_LIMIT before any box is
+    walked: the elements of every level's box plus the
     d(n)**2 * (2*bound + 1) marks of the top level's table ``scaled``
     (none at support 0); the pairs it returns are checked before any is built.
 
@@ -414,7 +419,7 @@ def primality_probe(
     family iff its mask holds every top slot, and for a single spec no
     non-member covers (c, p), no pair of non-members covers ``full``, and
     the result is [].  A family of fewer than two distinct specs is
-    therefore answered by the lemma, without walking any box.
+    therefore answered by the lemma, without sizing or walking any box.
 
     An element's mask depends only on its zero masks, one per prime of
     the family: which of its marks vanish mod p.  A larger family walks
@@ -440,6 +445,8 @@ def primality_probe(
     n, specs = _family(family, n)
     levels = divisors(n)
     values = _signed(bound, max_support)
+    if len(specs) < 2:
+        return []
     boxes = sum(_box_size(len(divisors(h)), len(values), max_support) for h in levels)
     table_marks = len(levels) ** 2 * (2 * bound + 1) if max_support else 0
     _check_budget(
@@ -447,8 +454,6 @@ def primality_probe(
         f"a probe keeping {boxes + table_marks} elements ({boxes} box elements "
         f"and {table_marks} table marks)",
     )
-    if len(specs) < 2:
-        return []
     slots = sorted({(i, s.p) for s in specs for i in divisors(s.c)})
     full = (1 << len(slots)) - 1
     top = sum(1 << slots.index((s.c, s.p)) for s in specs)

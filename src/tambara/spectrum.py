@@ -290,8 +290,22 @@ def export_json(poset: SpectrumPoset) -> str:
 
 def poset_from_json(text: str) -> SpectrumPoset:
     """Rebuild a SpectrumPoset from its JSON export, recomputed from ``n``
-    and ``primes``; the listed points must be exactly the recomputed ones."""
+    and ``primes``; the listed points must be exactly the recomputed ones.
+    A document that is not an object, a missing field, primes or points
+    that are not a list, and a point that is not an object with c, p and
+    merged raise ValueError naming what is wrong; a non-int n or prime
+    raises TypeError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"spectrum JSON must be an object, got {type(doc).__name__}")
+    for field in ("n", "primes", "points"):
+        if field not in doc:
+            raise ValueError(f"spectrum JSON has no {field!r} field")
+    for field in ("primes", "points"):
+        if not isinstance(doc[field], list):
+            raise ValueError(f"spectrum JSON field {field!r} must be a list")
+    if not all(isinstance(pt, dict) and pt.keys() >= {"c", "p", "merged"} for pt in doc["points"]):
+        raise ValueError("each of the spectrum JSON 'points' must be an object with c, p and merged")
     n = doc["n"]
     poset = _build_poset(n, doc["primes"], partial(IdealSpec, n), mod)
     listed = [(pt["c"], pt["p"], pt["merged"]) for pt in doc["points"]]

@@ -295,6 +295,16 @@ def test_probe_command_small(capsys):
     assert all(not entry["counterexamples"] for entry in doc["specs"])
 
 
+@pytest.mark.parametrize("n, points", [(5040, 212), (55440, 484)])
+def test_probe_answers_every_point_of_a_large_spectrum(capsys, n, points):
+    # each point is a single ideal, answered by the lemma with no box
+    code, out, err = invoke(capsys, "probe", "-n", str(n))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert len(doc["specs"]) == points
+    assert not any(entry["counterexamples"] for entry in doc["specs"])
+
+
 @pytest.mark.parametrize("option", [["--bound", "-1"], ["--support", "-3"]], ids=str)
 def test_probe_with_a_negative_box_exits_1(capsys, option):
     # the box would hold only the zero element and report no counterexample
@@ -310,8 +320,10 @@ def test_probe_box_past_the_limit_exits_1(capsys):
 
 
 def test_probe_box_past_a_lowered_limit_exits_1(capsys, monkeypatch):
+    # every spec is probed alone and keeps no box; the 62 coefficient
+    # values of bound 31 pass the lowered limit
     monkeypatch.setattr(ideals, "BOX_LIMIT", 60)
-    code, out, err = invoke(capsys, "probe", "-n", "4", "--bound", "2")
+    code, out, err = invoke(capsys, "probe", "-n", "4", "--bound", "31")
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "BudgetExceeded" and "BOX_LIMIT = 60" in payload["message"]

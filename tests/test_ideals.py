@@ -411,21 +411,40 @@ def test_box_over_the_limit_is_refused_before_enumeration(monkeypatch):
     with pytest.raises(BudgetExceeded, match="61 elements"):
         box_terms(4, (-2, -1, 1, 2), 2)  # when called, before the first term is asked for
     assert len(box_elements(2, 2, 2)) == 25
-    # the probe keeps the boxes of levels 1, 2 and 4 (5 + 25 + 61) and a
-    # table of 3 * 3 * 5 marks, and refuses before reading any marks
+    # a two-spec probe keeps the boxes of levels 1, 2 and 4 (5 + 25 + 61)
+    # and a table of 3 * 3 * 5 marks, and refuses before reading any marks
     monkeypatch.setattr(ideals, "marks", lambda x, g: pytest.fail(f"read the marks of {x}"))
     with pytest.raises(BudgetExceeded, match="136 elements"):
-        primality_probe(IdealSpec(4, 2, 0), bound=2)
+        primality_probe([IdealSpec(4, 1, 2), IdealSpec(4, 1, 3)], bound=2)
 
 
 def test_probe_budget_counts_every_level_and_the_table(monkeypatch):
     # the top box of C_12 alone has 265 elements; with the other five
-    # levels (229) and the table (6 * 6 * 5 = 180) the probe keeps 674
+    # levels (229) and the table (6 * 6 * 5 = 180) a two-spec probe keeps 674
     monkeypatch.setattr(ideals, "BOX_LIMIT", 300)
     assert len(box_elements(12, 2, 2)) == 265
     monkeypatch.setattr(ideals, "marks", lambda x, g: pytest.fail(f"read the marks of {x}"))
     with pytest.raises(BudgetExceeded, match="674 elements"):
-        primality_probe(IdealSpec(12, 1, 2), bound=2, max_support=2)
+        primality_probe([IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)], bound=2, max_support=2)
+
+
+def test_single_spec_is_answered_before_any_box_is_sized(monkeypatch):
+    # one spec keeps nothing, so a box far past BOX_LIMIT is never counted,
+    # while the argument checks still run first
+    monkeypatch.setattr(ideals, "BOX_LIMIT", 60)
+    monkeypatch.setattr(ideals, "_box_size", lambda *a: pytest.fail("sized a box"))
+    monkeypatch.setattr(ideals, "box_terms", lambda *a: pytest.fail("enumerated a box"))
+    spec = IdealSpec(12, 1, 2)
+    assert primality_probe(spec, bound=2) == []
+    assert primality_probe([spec, spec], bound=2) == []
+    with pytest.raises(ValueError):
+        primality_probe(spec, n=24, bound=2)
+    with pytest.raises(TypeError):
+        primality_probe(spec, bound=2.0)
+    with pytest.raises(ValueError):
+        primality_probe(spec, max_support=-1)
+    with pytest.raises(BudgetExceeded, match="62 coefficient values"):
+        primality_probe(spec, bound=31)
 
 
 def test_probe_box_past_the_default_limit_is_refused():
@@ -740,7 +759,7 @@ def test_generators_outside_a_point_witness_non_containment(n):
     assert incomparable == {12: 138, 30: 488, 60: 1028}[n]
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 12])
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 30, 60])
 def test_single_spec_non_members_miss_the_top_slot(n):
     # the probe's lemma: an element covers (c, p) iff it is a member, so
     # no pair of non-members covers every slot of a single spec

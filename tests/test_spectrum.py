@@ -353,6 +353,26 @@ def test_poset_from_json_rejects_non_int_n_and_primes(n, edit):
         poset_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[]", "object"),
+        ("6", "object"),
+        ('{"primes": [0, 2], "points": []}', "'n'"),
+        ('{"n": 6, "points": []}', "'primes'"),
+        ('{"n": 6, "primes": [0, 2]}', "'points'"),
+        ('{"n": 6, "primes": 2, "points": []}', "'primes'"),
+        ('{"n": 6, "primes": [0, 2], "points": {}}', "'points'"),
+        ('{"n": 6, "primes": [0, 2], "points": [[1, 0, [1]]]}', "'points'"),
+        ('{"n": 6, "primes": [0, 2], "points": [{"c": 1, "p": 0}]}', "'points'"),
+    ],
+    ids=str,
+)
+def test_poset_from_json_names_a_missing_or_malformed_field(text, field):
+    with pytest.raises(ValueError, match=field):
+        poset_from_json(text)
+
+
 def test_hasse_transitive_closure_equals_relation():
     for n in (6, 12, 30):
         poset = enumerate_spectrum(CyclicGroupCtx(n), default_primes(n))

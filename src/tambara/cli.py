@@ -31,6 +31,7 @@ from .burnside import (
     ghost_from_json,
     ghost_to_json,
     integer,
+    marks,
     unghost,
 )
 from .gsets import (
@@ -311,8 +312,8 @@ def cmd_oracle(args) -> int:
     if args.check == "marks":
         for h in levels:
             for x, s in _box_gsets(h, 2):
-                for i in divisors(h):
-                    if fixed_points(s, i) != x.mark(i):
+                for i, mark in marks(x, h).items():
+                    if fixed_points(s, i) != mark:
                         raise InvariantError(f"mark mismatch at {x}, C_{i}")
                     cases += 1
     elif args.check == "transfers":
@@ -378,7 +379,7 @@ COMMANDS = {
         "--vector": ("vector", str, REQUIRED)}, ()),
     "gens": (cmd_gens, "ring-theoretic generators of an ideal level", {
         "-n": _N, "--spec": _SPEC, "--level": ("level", integer, None)}, ()),
-    "probe": (cmd_probe, "search for primality counterexamples", {"-n": _N,
+    "probe": (cmd_probe, "answer each spectrum point by the probe's lemma", {"-n": _N,
         "--bound": ("bound", integer, 2), "--support": ("support", integer, 2), "--primes": _PRIMES}, ()),
     "oracle": (cmd_oracle, "cross-check formulas against G-sets", {
         "--check": ("check", ("norms", "transfers", "marks"), REQUIRED), "-n": _N}, ()),

@@ -35,12 +35,12 @@ from .lattice import (
 )
 from .maps import norm, restrict
 
-# The most elements a box, or a probe's boxes and mark table together, may
-# hold, and the most pairs a probe may return.  A single ideal keeps none.
-# The largest family probe in the tests (two points at n = 360, bound 2,
-# support 2) keeps 16,104 box elements and 2,880 table marks, at about 5 us
-# a box element; the most pairs in the tests, demos and benchmark, 75,168,
-# come from the family (12,1,2), (12,1,3) at bound 3.
+# The most elements a box, or a probe's boxes together, may hold, and the
+# most pairs a probe may return.  A single ideal keeps none.  The largest
+# family probe in the tests (two points at n = 360, bound 2, support 2)
+# keeps 16,104 box elements, at about 13 us a box element; the most pairs
+# in the tests, demos and benchmark, 75,168, come from the family
+# (12,1,2), (12,1,3) at bound 3.
 BOX_LIMIT = 10**5
 
 
@@ -352,22 +352,16 @@ def _walk(n: int, bound: int, max_support: int, primes: tuple[int, ...]):
     prime the bitmask over the divisors of h of its marks that vanish mod
     p (exactly for p = 0); zeros holds the distinct tuples of the box, and
     ids, per element in box order, the position of its tuple in zeros.
-    An element's marks are the sum over its orbits k of the coefficient
-    times the marks of C_h/C_k (``marks`` of the orbit), computed once per
-    element for all the primes."""
+    An element's marks are read through ``marks``, once per element for
+    all the primes."""
     values = _signed(bound, max_support)
     walk = []
     for h in divisors(n):
         divs = divisors(h)
-        scaled = {}  # per orbit k and coefficient m: the marks of m * C_h/C_k
-        for k in divs:
-            column = marks(BurnsideElement.transitive(h, k), h).values()
-            scaled[k] = {m: [m * v for v in column] for m in values}
-        origin = [0] * len(divs)
         bits = [1 << t for t in range(len(divs))]
         seen, ids = {}, []  # the position of each distinct tuple of zero masks
         for orbits, ms in box_terms(h, values, max_support):
-            mk = list(map(sum, zip(origin, *(scaled[k][m] for k, m in zip(orbits, ms)))))
+            mk = marks(BurnsideElement._from_box(h, dict(zip(orbits, ms))), h).values()
             z = tuple(
                 sum(itertools.compress(bits, map(not_, map(p.__rmod__, mk) if p else mk)))
                 for p in primes
@@ -395,9 +389,8 @@ def primality_probe(
     A single ideal keeps nothing: it is answered by the lemma below right
     after these checks, and no box is sized.  For a larger family, what
     the probe keeps is then checked against BOX_LIMIT before any box is
-    walked: the elements of every level's box plus the
-    d(n)**2 * (2*bound + 1) marks of the top level's table ``scaled``
-    (none at support 0); the pairs it returns are checked before any is built.
+    walked: the elements of every level's box; the pairs it returns are
+    checked before any is built.
 
     Q is decided without computing a norm.  Q(a, b) asks that the mark at
     C_i of N_K^L res_K a * N_K'^L res_K' b vanish mod p for every spec
@@ -423,9 +416,9 @@ def primality_probe(
 
     An element's mask depends only on its zero masks, one per prime of
     the family: which of its marks vanish mod p.  A larger family walks
-    each level's box once, computing each element's marks once for all
-    of its primes into the level's distinct tuples of zero masks and,
-    per element, the position of its tuple.  Only the last walk is kept,
+    each level's box once, reading each element's marks (``marks``) once
+    for all of its primes into the level's distinct tuples of zero masks
+    and, per element, the position of its tuple.  Only the last walk is kept,
     for the next probe of the same n, box and primes: a process that
     probes one family again and again, as the benchmark's repetitions
     do, walks once (``tambara probe`` and the demos probe each family
@@ -448,12 +441,7 @@ def primality_probe(
     if len(specs) < 2:
         return []
     boxes = sum(_box_size(len(divisors(h)), len(values), max_support) for h in levels)
-    table_marks = len(levels) ** 2 * (2 * bound + 1) if max_support else 0
-    _check_budget(
-        boxes + table_marks,
-        f"a probe keeping {boxes + table_marks} elements ({boxes} box elements "
-        f"and {table_marks} table marks)",
-    )
+    _check_budget(boxes, f"a probe keeping {boxes} box elements")
     slots = sorted({(i, s.p) for s in specs for i in divisors(s.c)})
     full = (1 << len(slots)) - 1
     top = sum(1 << slots.index((s.c, s.p)) for s in specs)

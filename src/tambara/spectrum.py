@@ -290,11 +290,12 @@ def export_json(poset: SpectrumPoset) -> str:
 
 def poset_from_json(text: str) -> SpectrumPoset:
     """Rebuild a SpectrumPoset from its JSON export, recomputed from ``n``
-    and ``primes``; the listed points must be exactly the recomputed ones.
-    A document that is not an object, a missing field, primes or points
-    that are not a list, and a point that is not an object with c, p and
-    merged raise ValueError naming what is wrong; a non-int n or prime
-    raises TypeError."""
+    and ``primes``; the listed points must be exactly the recomputed ones,
+    and ``hasse`` exactly their recomputed covers.  A document that is not
+    an object, a missing field, primes or points that are not a list, a
+    point that is not an object with c, p and merged, and a missing or
+    differing ``hasse`` raise ValueError naming what is wrong; a non-int
+    n or prime raises TypeError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"spectrum JSON must be an object, got {type(doc).__name__}")
@@ -311,4 +312,6 @@ def poset_from_json(text: str) -> SpectrumPoset:
     listed = [(pt["c"], pt["p"], pt["merged"]) for pt in doc["points"]]
     if listed != [(pt.c, pt.p, list(m)) for pt, m in zip(poset.points, poset.merged)]:
         raise ValueError("JSON points differ from the spectrum of its n and primes")
+    if doc.get("hasse") != [list(e) for e in hasse_edges(poset)]:
+        raise ValueError("spectrum JSON 'hasse' is missing or differs from the covers of its points")
     return poset

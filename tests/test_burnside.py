@@ -73,6 +73,8 @@ def test_add_neg_examples():
 def test_add_rejects_level_mismatch():
     with pytest.raises(ValueError):
         B(6, {2: 1}) + B(12, {2: 1})
+    with pytest.raises(ValueError, match="level mismatch"):
+        ghost(B(6, {2: 1})).pointwise_mul(ghost(B(12, {2: 1})))
 
 
 def test_mul_t_rule_examples():
@@ -443,4 +445,5 @@ def test_str_and_repr_are_stable():
     x = B(6, {2: 1, 6: -3})
     assert str(x) == "-3*C6/C6 + C6/C2"
     assert str(BurnsideElement(3)) == "0"
+    assert str(BurnsideElement(1, {1: 2})) == "2*e/e"
     assert "level=6" in repr(x)

@@ -261,6 +261,17 @@ def test_map_level_mismatch_is_domain_error(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_map_target_outside_the_ambient_order_is_domain_error(capsys):
+    argv = ["map", "--op", "tr", "--from", "1", "--to", "5", "--element", "t1@1"]
+    code, out, err = invoke(capsys, *argv, "-n", "12")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "target level" in payload["message"]
+    # without -n the same transfer has no ambient order to leave
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and json.loads(out) == {"level": 5, "coeffs": {"1": 1}}
+
+
 def test_ghost_unghost_roundtrip(capsys):
     code, out, _ = invoke(capsys, "ghost", "--element", "t3@6")
     assert code == 0
@@ -405,7 +416,7 @@ def _off_by_unit(out, h):
 @pytest.mark.parametrize(
     "check, target, formula, element, spoil",
     [
-        ("marks", BurnsideElement, "mark", WRONG_ON[0], lambda out, i: out + 1),
+        ("marks", cli, "marks", WRONG_ON[0], lambda out, h: {**out, h: out[h] + 1}),
         ("transfers", cli, "transfer", WRONG_ON[0], _off_by_unit),
         ("norms", cli, "norm", WRONG_ON[1], _off_by_unit),
     ],

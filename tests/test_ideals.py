@@ -341,6 +341,8 @@ def test_family_asked_about_another_order_is_refused():
     unit = BurnsideElement.unit(2)
     with pytest.raises(ValueError, match="C_12 asked about C_4"):
         primality_probe(family, n=4, bound=1)
+    with pytest.raises(ValueError, match=r"mixes ambient orders \[6, 12\]"):
+        primality_probe([IdealSpec(12, 1, 2), IdealSpec(6, 1, 3)], bound=1)
     with pytest.raises(ValueError):
         primality_probe(IdealSpec(12, 1, 2), n=6)
     with pytest.raises(ValueError):
@@ -412,19 +414,19 @@ def test_box_over_the_limit_is_refused_before_enumeration(monkeypatch):
         box_terms(4, (-2, -1, 1, 2), 2)  # when called, before the first term is asked for
     assert len(box_elements(2, 2, 2)) == 25
     # a two-spec probe keeps the boxes of levels 1, 2 and 4 (5 + 25 + 61)
-    # and a table of 3 * 3 * 5 marks, and refuses before reading any marks
+    # and refuses before reading any marks
     monkeypatch.setattr(ideals, "marks", lambda x, g: pytest.fail(f"read the marks of {x}"))
-    with pytest.raises(BudgetExceeded, match="136 elements"):
+    with pytest.raises(BudgetExceeded, match="91 box elements"):
         primality_probe([IdealSpec(4, 1, 2), IdealSpec(4, 1, 3)], bound=2)
 
 
-def test_probe_budget_counts_every_level_and_the_table(monkeypatch):
+def test_probe_budget_counts_every_level(monkeypatch):
     # the top box of C_12 alone has 265 elements; with the other five
-    # levels (229) and the table (6 * 6 * 5 = 180) a two-spec probe keeps 674
+    # levels (229) a two-spec probe keeps 494
     monkeypatch.setattr(ideals, "BOX_LIMIT", 300)
     assert len(box_elements(12, 2, 2)) == 265
     monkeypatch.setattr(ideals, "marks", lambda x, g: pytest.fail(f"read the marks of {x}"))
-    with pytest.raises(BudgetExceeded, match="674 elements"):
+    with pytest.raises(BudgetExceeded, match="494 box elements"):
         primality_probe([IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)], bound=2, max_support=2)
 
 
@@ -639,7 +641,7 @@ def _assert_walk_within_the_limit(family):
 def test_probe_results_do_not_depend_on_call_order(monkeypatch, limit):
     # the families at n = 12 and n = 20 take turns, so each of their
     # probes replaces the one cached walk; at limit 1000 each probe keeps
-    # 674 of the allowed elements, and each family's 12,312 or 10,416
+    # 494 of the allowed elements, and each family's 12,312 or 10,416
     # pairs are refused after its walk
     if limit:
         monkeypatch.setattr(ideals, "BOX_LIMIT", limit)
@@ -673,7 +675,7 @@ def test_lowered_limit_refuses_on_a_warm_cache(monkeypatch):
     family = [IdealSpec(12, 1, 2), IdealSpec(12, 1, 3)]
     assert primality_probe(family, bound=2)
     monkeypatch.setattr(ideals, "BOX_LIMIT", 300)
-    with pytest.raises(BudgetExceeded, match="674 elements"):
+    with pytest.raises(BudgetExceeded, match="494 box elements"):
         primality_probe(family, bound=2)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from tambara import spectrum
 from tambara.ideals import IdealSpec
-from tambara.lattice import CyclicGroupCtx, InvariantError, divisors, omega
+from tambara.lattice import CyclicGroupCtx, InvariantError, divisors, o_p, omega
 from tambara.spectrum import (
     DressPoint,
     contains,
@@ -261,6 +261,16 @@ def test_krull_formula_with_fresh_prime():
         assert krull_dimension(poset) == omega(n) + 1
 
 
+def test_spectrum_shape_in_closed_form_up_to_5040():
+    # with the default primes, C_n has d(o_p(n)) points over each prime p
+    # (d(n) over 0), and its longest chain is one longer than Omega(n)
+    for n in range(1, 5041):
+        primes = default_primes(n)
+        poset = enumerate_spectrum(CyclicGroupCtx(n), primes)
+        count = sum(len(divisors(o_p(n, p) if p else n)) for p in primes)
+        assert (len(poset.points), krull_dimension(poset)) == (count, omega(n) + 1), n
+
+
 # --- Dress comparison -------------------------------------------------------------
 
 
@@ -329,6 +339,18 @@ def test_poset_from_json_rejects_points_not_in_the_spectrum():
     doc = json.loads(export_json(enumerate_spectrum(CyclicGroupCtx(12), [0, 2])))
     del doc["points"][0]
     with pytest.raises(ValueError):
+        poset_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit", [{"hasse": [[0, 1]]}, "delete"], ids=str)
+def test_poset_from_json_checks_the_hasse_edges(edit):
+    # the points are the spectrum's, so only the edited or missing edges are wrong
+    doc = json.loads(export_json(enumerate_spectrum(CyclicGroupCtx(12), [0, 2, 3, 5])))
+    if edit == "delete":
+        del doc["hasse"]
+    else:
+        doc.update(edit)
+    with pytest.raises(ValueError, match="'hasse'"):
         poset_from_json(json.dumps(doc))
 
 
